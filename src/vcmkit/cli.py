@@ -26,9 +26,9 @@ from .documents import (
     parse_matrix_document,
     recheck_certificate,
 )
-from .homology import VertexLimitError, is_cm_reisner, projective_dimension
+from .homology import is_cm_reisner, projective_dimension
 from .linalg import field_label, parse_field
-from .stanley_reisner import EmptyVarietyError, codim, codim_affine, is_saturated
+from .stanley_reisner import codim, codim_affine, is_saturated
 from .vres import (
     CERTIFIED,
     FIXTURE_NAMES,
@@ -295,13 +295,9 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, code = args.func(args)
-    except (DocumentError, EmptyVarietyError, VertexLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    # DocumentError, EmptyVarietyError, VertexLimitError and the UTF-8 and
+    # JSON decode errors are all ValueErrors.
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     _emit(report, args)

@@ -200,14 +200,13 @@ class SimplicialComplex:
         for m in self.facet_masks:
             if m & ~full:
                 raise InvalidVertexError(f"facet mask {m:#x} uses bits outside shape {self.shape}")
-        # Normalise: drop dominated faces, dedupe, sort canonically.
-        by_size = sorted(set(self.facet_masks), key=lambda m: -_popcount(m))
-        kept = []
-        for m in by_size:
-            if not any(m & ~k == 0 for k in kept):
-                kept.append(m)
-        kept.sort(key=self.shape.bits_key)
-        object.__setattr__(self, "facet_masks", tuple(kept))
+        # Normalise: drop dominated faces, dedupe, sort canonically.  Distinct
+        # masks of one size cannot contain each other, so only mixed sizes
+        # need the domination pass.
+        kept = set(self.facet_masks)
+        if len(set(map(int.bit_count, kept))) > 1:
+            kept = _maximal_masks(kept)
+        object.__setattr__(self, "facet_masks", tuple(sorted(kept, key=self.shape.bits_key)))
 
     @classmethod
     def from_facets(cls, shape: Shape, facets: Iterable) -> "SimplicialComplex":
@@ -335,6 +334,35 @@ class SimplicialComplex:
 
 def _popcount(mask: int) -> int:
     return mask.bit_count()
+
+
+def _maximal_masks(masks) -> list:
+    """The masks contained in no other mask, in no particular order.
+
+    Walks the masks by decreasing size with one bitset of kept positions per
+    vertex: a mask is dominated iff some kept mask holds all its vertices,
+    i.e. the AND of its vertices' bitsets is nonzero.  The empty mask is thus
+    dominated iff anything is kept.
+    """
+    kept = []
+    holders = {}  # vertex bit -> bitset of the kept positions holding it
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        common = (1 << len(kept)) - 1
+        rest = m
+        while rest and common:
+            low = rest & -rest
+            common &= holders.get(low, 0)
+            rest ^= low
+        if common:
+            continue
+        bit = 1 << len(kept)
+        kept.append(m)
+        rest = m
+        while rest:
+            low = rest & -rest
+            holders[low] = holders.get(low, 0) | bit
+            rest ^= low
+    return kept
 
 
 def union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import NamedTuple, Sequence
 
 from .complexes import (
@@ -107,20 +106,38 @@ def verify_shelling(delta: SimplicialComplex, order: Sequence) -> ShellingCheck:
     an intersection of full codimension one; the witness is the first (i, j)
     where facet j's intersection is maximal but too small.  The order must
     list each facet of the pure complex exactly once.
+
+    Checked through the restriction set R_i, the vertices v of F_i whose
+    ridge F_i \\ v lies in an earlier facet: step i passes iff no earlier
+    facet contains R_i (Bjorner-Wachs 1996), and the lowest such facet is
+    the witness j.  One ridge set and one bitset of order positions per
+    vertex make each step cost its facet size, not its position.
     """
     if delta.is_void or not delta.is_pure():
         raise ValueError("shellings are only defined for nonvoid pure complexes")
     masks = [delta.shape.mask_of(f) for f in order]
     if len(masks) != len(set(masks)) or set(masks) != set(delta.facet_masks):
         raise ValueError("order does not list the facets of the complex exactly once")
-    size = _popcount(masks[0]) if masks else 0
-    for i in range(1, len(masks)):
-        current = masks[i]
-        meets = [current & masks[j] for j in range(i)]
-        ridges = [m for m in meets if _popcount(m) == size - 1]
-        for j, m in enumerate(meets):
-            if not any(m & ~ridge == 0 for ridge in ridges):
-                return ShellingCheck(False, (i + 1, j + 1))
+    ridges = set()
+    holders = {}  # vertex bit -> bitset of the order positions whose facet holds it
+    for i, current in enumerate(masks):
+        vertex_bits = []
+        rest = current
+        while rest:
+            low = rest & -rest
+            vertex_bits.append(low)
+            rest ^= low
+        if i:
+            earlier = (1 << i) - 1  # an empty R_i lies in every earlier facet
+            for low in vertex_bits:
+                if current ^ low in ridges:
+                    earlier &= holders.get(low, 0)
+            if earlier:
+                return ShellingCheck(False, (i + 1, (earlier & -earlier).bit_length()))
+        bit_i = 1 << i
+        for low in vertex_bits:
+            ridges.add(current ^ low)
+            holders[low] = holders.get(low, 0) | bit_i
     return ShellingCheck(True, None)
 
 
@@ -191,7 +208,7 @@ def irrelevant_shelling_order(shape: Shape, base) -> ShellingOrder:
                 choices = [range(shape.entries[t - 1] + 1) for t in others]
                 for picks in itertools.product(*choices):
                     keys.append(FacetKey(k, PairKey(i, a, b), picks))
-        keys.sort(key=cmp_to_key(compare_facets))
+        keys.sort(key=lambda key: (key.rest, key.pair))
         for key in keys:
             m = actual_bit(key.pair.component, key.pair.low)
             m |= actual_bit(key.pair.component, key.pair.high)

@@ -439,16 +439,14 @@ def certify_balanced(delta: SimplicialComplex,
                      field: CoefficientField = DEFAULT_FIELD) -> VcmCertificate:
     """Constructive certificate for a balanced complex.
 
-    Runs the balanced shelling pipeline and confirms the resolution length
-    of the union over the given field; evidence is the shelling order.
+    Runs the balanced shelling pipeline; evidence is the shelling order,
+    which balanced_vcm_certificate has verified on the union.  A shellable
+    complex is Cohen-Macaulay over every field, so the union's projective
+    dimension equals the codimension without recomputing it.  `field` only
+    labels the report.
     """
     cert = balanced_vcm_certificate(delta)
-    u = union(delta, cert.delta_prime)
     cd = codim(delta)
-    pd = projective_dimension(u, field)
-    if pd != cd:
-        raise AssertionError(
-            f"shelled union has projective dimension {pd}, expected codimension {cd}")
     return VcmCertificate(
         delta=delta,
         delta_prime=cert.delta_prime,

@@ -6,9 +6,19 @@ be checked against an independent implementation.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
-from vcmkit import Shape, SimplicialComplex, Vertex, verify_shelling
+from vcmkit import (
+    Shape,
+    SimplicialComplex,
+    Vertex,
+    balanced_vcm_certificate,
+    irrelevant_complex,
+    irrelevant_shelling_order,
+    union,
+    verify_shelling,
+)
 
 
 def cx(entries, *facets):
@@ -167,3 +177,68 @@ def find_shelling(delta):
         if verify_shelling(delta, perm).ok:
             return perm
     return None
+
+
+def verify_shelling_pairwise(delta, order):
+    """Shelling check by comparing each facet with every earlier one: O(F^2).
+
+    Step i passes when each intersection with an earlier facet lies in an
+    intersection of full codimension one; returns (ok, witness) with the
+    first failing (i, j), 1-based, as the library's checker does.
+    """
+    if delta.is_void or not delta.is_pure():
+        raise ValueError("shellings are only defined for nonvoid pure complexes")
+    masks = [delta.shape.mask_of(f) for f in order]
+    if len(masks) != len(set(masks)) or set(masks) != set(delta.facet_masks):
+        raise ValueError("order does not list the facets of the complex exactly once")
+    size = masks[0].bit_count()
+    for i in range(1, len(masks)):
+        current = masks[i]
+        meets = [current & masks[j] for j in range(i)]
+        ridges = [m for m in meets if m.bit_count() == size - 1]
+        for j, m in enumerate(meets):
+            if not any(m & ~ridge == 0 for ridge in ridges):
+                return False, (i + 1, j + 1)
+    return True, None
+
+
+def maximal_masks_pairwise(masks):
+    """The masks contained in no other, by scanning every kept mask: O(F^2)."""
+    kept = []
+    for m in sorted(set(masks), key=lambda m: -m.bit_count()):
+        if not any(m & ~k == 0 for k in kept):
+            kept.append(m)
+    return set(kept)
+
+
+DESK_SHAPES = ((1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 1), (2, 1, 1), (2, 2, 2))
+
+
+def balanced_bases(shape):
+    per_component = [range(n + 1) for n in shape.entries]
+    for picks in itertools.product(*per_component):
+        yield frozenset(Vertex(c, j) for c, j in enumerate(picks, 1))
+
+
+def desk_scale_cases():
+    """(union, order) for every balanced base on the desk-scale shapes: 72 cases."""
+    for entries in DESK_SHAPES:
+        shape = Shape(entries)
+        irr = irrelevant_complex(shape)
+        for base in balanced_bases(shape):
+            order = irrelevant_shelling_order(shape, base)
+            target = union(irr, SimplicialComplex.from_facets(shape, [base]))
+            yield target, order
+
+
+RANDOM_CERTIFICATE_SHAPES = ((1, 1), (2, 1), (2, 2), (1, 1, 1), (1, 0), (2, 0, 1))
+RANDOM_CERTIFICATE_SEED = 20260823
+
+
+def random_certificate_cases(count=200):
+    """(delta, certificate) for seeded random balanced complexes."""
+    rng = random.Random(RANDOM_CERTIFICATE_SEED)
+    for i in range(count):
+        shape = Shape(RANDOM_CERTIFICATE_SHAPES[i % len(RANDOM_CERTIFICATE_SHAPES)])
+        delta = random_balanced(shape, rng)
+        yield delta, balanced_vcm_certificate(delta)

@@ -5,7 +5,6 @@ line; the lines are printed as a block after the run (see conftest).  Wall
 time bounds are part of the assertions.
 """
 
-import itertools
 import json
 import random
 import time
@@ -17,14 +16,11 @@ from vcmkit import (
     IrrelevantIdealB,
     Shape,
     SimplicialComplex,
-    Vertex,
     balanced_vcm_certificate,
     codim,
     compose_check,
     enumerate_irrelevant_candidate_facets,
     ideal_of,
-    irrelevant_complex,
-    irrelevant_shelling_order,
     is_cm_pdim,
     is_cm_reisner,
     is_relevant,
@@ -37,7 +33,7 @@ from vcmkit import (
 )
 from vcmkit.cli import main as cli_main
 from vcmkit.documents import complex_document
-from helpers import antichains_nonvoid, exponent_vectors, random_balanced
+from helpers import antichains_nonvoid, desk_scale_cases, exponent_vectors, random_balanced
 
 CRITERION_LINES = []
 
@@ -65,25 +61,6 @@ def criterion(number, name, limit=None):
     line = f"[PASS] criterion {number}: {name} ({elapsed:.2f}s)"
     CRITERION_LINES.append(line)
     print(line)
-
-
-def _balanced_bases(shape):
-    per_component = [range(n + 1) for n in shape.entries]
-    for picks in itertools.product(*per_component):
-        yield frozenset(Vertex(c, j) for c, j in enumerate(picks, 1))
-
-
-DESK_SHAPES = ((1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 1), (2, 1, 1), (2, 2, 2))
-
-
-def _desk_scale_cases():
-    for entries in DESK_SHAPES:
-        shape = Shape(entries)
-        irr = irrelevant_complex(shape)
-        for base in _balanced_bases(shape):
-            order = irrelevant_shelling_order(shape, base)
-            target = union(irr, SimplicialComplex.from_facets(shape, [base]))
-            yield target, order
 
 
 def test_criterion_1_counterexample_invariants(c34):
@@ -126,7 +103,7 @@ def test_criterion_5_explicit_orders_at_desk_scale():
     with criterion(5, "explicit shelling for every balanced base on 7 shapes",
                    limit=60.0):
         count = 0
-        for target, order in _desk_scale_cases():
+        for target, order in desk_scale_cases():
             assert verify_shelling(target, order).ok
             for field in (GF(2), QQ):
                 assert is_cm_reisner(target, field).is_cm
@@ -195,7 +172,7 @@ def test_criterion_8_reisner_pdim_cross_validation():
 
 def test_criterion_9_shellings_are_cohen_macaulay():
     with criterion(9, "every emitted shelling order yields a Cohen-Macaulay union"):
-        pairs = SHELLED if SHELLED else list(_desk_scale_cases())
+        pairs = SHELLED if SHELLED else list(desk_scale_cases())
         seen = set()
         checked = 0
         for target, order in pairs:

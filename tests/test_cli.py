@@ -1,8 +1,11 @@
 import hashlib
 import json
+import random
+import time
 
 import pytest
 
+from vcmkit import Shape, SimplicialComplex
 from vcmkit.cli import main
 from vcmkit.documents import (
     complex_document,
@@ -190,6 +193,31 @@ class TestCertifyBalancedCommand:
     def test_file_required_without_recheck(self, capsys):
         code, _, err = run(capsys, "certify-balanced")
         assert code == 3 and "required unless --recheck" in err
+
+
+    @staticmethod
+    def large_balanced(name):
+        if name == "random (5,5,5,5)":
+            shape = Shape((5, 5, 5, 5))
+            rng = random.Random(20261020)
+            return SimplicialComplex(shape, tuple(rng.sample(shape.balanced_masks(), 40)))
+        return cx((6, 6, 6), *[[(1, i), (2, j), (3, (i + j) % 7)]
+                               for i in range(7) for j in range(7)])
+
+    @pytest.mark.parametrize("name", ["random (5,5,5,5)", "Latin square on (6,6,6)"])
+    def test_past_twenty_vertices(self, tmp_path, capsys, name):
+        # 24 and 21 vertices: no subset sweep may run, and the shelling
+        # check must stay near-linear in the 6.5k facets of the (5,5,5,5) union.
+        src = write_doc(tmp_path, "large.json", complex_document(self.large_balanced(name)))
+        out_path = str(tmp_path / "report.json")
+        started = time.perf_counter()
+        code, report, err = run_json(capsys, "certify-balanced", src, "--out", out_path)
+        assert code == 0, err
+        assert report["verdicts"]["pdim_equals_codim"] is True
+        code, recheck, _ = run_json(capsys, "certify-balanced", "--recheck", out_path)
+        assert code == 0
+        assert recheck["recheck"] == {"ok": True, "detail": None}
+        assert time.perf_counter() - started < 30.0
 
 
 class TestSearchCommand:

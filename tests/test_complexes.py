@@ -14,7 +14,14 @@ from vcmkit import (
     relabel_within_component,
     union,
 )
-from helpers import cx, faces_bruteforce, link_bruteforce, random_complex, restriction_bruteforce
+from helpers import (
+    cx,
+    faces_bruteforce,
+    link_bruteforce,
+    maximal_masks_pairwise,
+    random_complex,
+    restriction_bruteforce,
+)
 
 V = Vertex
 
@@ -98,6 +105,24 @@ class TestConstruction:
             frozenset({V(1, 0), V(2, 1)}),
             frozenset({V(1, 1), V(2, 0)}),
         )
+
+
+    def test_matches_pairwise_domination_scan(self):
+        rng = random.Random(20261019)
+        cases = [(), (0,), (0, 0), (0, 0b1), (0b1, 0b10, 0)]
+        for _ in range(2000):
+            n = rng.randint(1, 9)
+            masks = [rng.getrandbits(n) for _ in range(rng.randint(1, 10))]
+            masks += [m & rng.getrandbits(n) for m in rng.sample(masks, rng.randint(0, len(masks)))]
+            masks += rng.sample(masks, rng.randint(0, min(3, len(masks))))
+            if rng.random() < 0.2:
+                masks.append(0)
+            rng.shuffle(masks)
+            cases.append(tuple(masks))
+        shape = Shape((8,))
+        for masks in cases:
+            want = tuple(sorted(maximal_masks_pairwise(masks), key=shape.bits_key))
+            assert SimplicialComplex(shape, masks).facet_masks == want
 
 
 class TestQueries:

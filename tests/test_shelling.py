@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import cmp_to_key
 
@@ -19,7 +20,15 @@ from vcmkit import (
     verify_shelling,
 )
 from vcmkit.shelling import face_from_key, facet_key
-from helpers import cx, find_shelling, random_balanced
+from helpers import (
+    DESK_SHAPES,
+    cx,
+    desk_scale_cases,
+    find_shelling,
+    random_balanced,
+    random_certificate_cases,
+    verify_shelling_pairwise,
+)
 
 V = Vertex
 
@@ -163,6 +172,48 @@ class TestVerifyShelling:
                 assert verify_shelling(d, order).ok
 
 
+
+class TestVerifyShellingAgainstPairwiseOracle:
+    """The restriction-set checker against the pairwise O(F^2) scan."""
+
+    @staticmethod
+    def emitted_orders():
+        # The orders of acceptance criteria 5 and 6; criterion 9 replays them.
+        yield from desk_scale_cases()
+        for delta, cert in random_certificate_cases():
+            yield union(delta, cert.delta_prime), cert.order
+
+    def test_emitted_orders_and_their_shuffles(self):
+        rng = random.Random(20261017)
+        outcomes = {True: 0, False: 0}
+        for target, order in self.emitted_orders():
+            assert verify_shelling(target, order) == verify_shelling_pairwise(target, order)
+            assert verify_shelling(target, order).ok
+            for _ in range(3):
+                shuffled = rng.sample(order, len(order))
+                got = verify_shelling(target, shuffled)
+                assert got == verify_shelling_pairwise(target, shuffled)
+                outcomes[got.ok] += 1
+        assert outcomes[False] > outcomes[True] > 0
+
+    def test_random_pure_complexes(self):
+        rng = random.Random(20261018)
+        sizes, outcomes = set(), set()
+        for _ in range(3000):
+            n = rng.randint(1, 9)
+            size = rng.randint(0, n)
+            pool = list(itertools.combinations(range(n), size))
+            facets = rng.sample(pool, rng.randint(1, min(len(pool), 12)))
+            d = SimplicialComplex.from_facets(
+                Shape((n - 1,)), [[V(1, i) for i in f] for f in facets])
+            order = rng.sample(d.facets, len(d.facets))
+            got = verify_shelling(d, order)
+            assert got == verify_shelling_pairwise(d, order)
+            sizes.add(size)
+            outcomes.add(got.ok)
+        assert sizes == set(range(10)) and outcomes == {True, False}
+
+
 class TestIrrelevantComplex:
     def test_two_factors_of_lines(self):
         d = irrelevant_complex(Shape((1, 1)))
@@ -242,6 +293,19 @@ class TestIrrelevantShellingOrder:
         target = union(irrelevant_complex(shape),
                        SimplicialComplex.from_facets(shape, [base]))
         assert verify_shelling(target, order).ok
+
+    @pytest.mark.parametrize("entries", DESK_SHAPES)
+    def test_blocks_follow_compare_facets(self, entries):
+        shape = Shape(entries)
+        base = frozenset(V(c, 0) for c in range(1, shape.r + 1))
+        order = irrelevant_shelling_order(shape, base)[1:]
+        rng = random.Random(sum(entries))
+        for k in range(shape.r, 0, -1):
+            block = [facet_key(f, shape, k) for f in order
+                     if not any(v.component == k for v in f)]
+            shuffled = rng.sample(block, len(block))
+            assert sorted(shuffled, key=cmp_to_key(compare_facets)) == block
+            assert sorted(shuffled, key=lambda key: (key.rest, key.pair)) == block
 
     def test_validation(self):
         with pytest.raises(ValueError):
