@@ -109,13 +109,17 @@ class Shape:
         return self._offsets[v.component - 1] + v.index
 
     def vertex_at(self, position: int) -> Vertex:
-        if not 0 <= position < self.num_vertices:
+        if not 0 <= position < self._offsets[-1]:
             raise InvalidVertexError(f"bit {position} out of range for shape {self.entries}")
         comp = bisect_right(self._offsets, position)
         return Vertex(comp, position - self._offsets[comp - 1])
 
+    @cached_property
+    def _vertex_table(self) -> tuple:
+        return tuple(self.vertex_at(p) for p in range(self._offsets[-1]))
+
     def vertices(self) -> tuple:
-        return tuple(self.vertex_at(p) for p in range(self.num_vertices))
+        return self._vertex_table
 
     @cached_property
     def component_masks(self) -> tuple:
@@ -136,7 +140,10 @@ class Shape:
         return mask
 
     def face_from_mask(self, mask: int) -> Face:
-        return frozenset(self.vertex_at(p) for p in _bits(mask))
+        if mask >> self._offsets[-1]:
+            raise InvalidVertexError(f"mask {mask:#x} has bits out of range for shape {self.entries}")
+        table = self._vertex_table
+        return frozenset([table[p] for p in _bits(mask)])
 
     def bits_key(self, mask: int) -> tuple:
         """Sort key putting faces in lexicographic vertex order."""

@@ -1,17 +1,26 @@
 """Reduced simplicial homology, Hochster's formula, and Cohen-Macaulay tests.
 
 All homology is computed from full downward-closed face sets (not facet
-lists): links and vertex-induced restrictions are themselves just filtered
-face sets, so a single lru_cache keyed on the face-mask tuple serves the
-Reisner link sweep and the Hochster subset sweep alike.  Ranks are exact:
-GF(2) uses packed bitmask elimination, odd primes modular elimination, the
-rationals Bareiss elimination over the integers.
+lists), split into layers by face size; one routine turns layers into
+ranks.  The Reisner link sweep goes through a bounded lru_cache keyed on
+the canonical face-mask tuple, because links of different complexes in a
+search repeat.  The Hochster subset sweep does not: its restrictions are
+distinct within a sweep, so it filters pre-layered faces for each vertex
+subset, skips the subsets that are faces (their restrictions are
+simplices), and shares work only between subsets that differ in vertices
+lying in no face, through a dict dropped when the sweep ends.
+
+Ranks are exact: GF(2) uses packed bitmask elimination, odd primes modular
+elimination, the rationals Bareiss elimination over the integers.  Over the
+rationals the GF(2) ranks come first and certify most boundaries: an
+integer matrix has rank over Q at least its rank mod 2, and since the
+boundary of a boundary is zero, rank_Q(d_s) is at most rank_2(d_s) plus
+the GF(2) homology on either side of d_s.  Bareiss runs only on boundaries
+with GF(2) homology on both sides (as in the real projective plane).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -25,18 +34,9 @@ class VertexLimitError(ValueError):
     """The vertex count exceeds the configured bound for a subset sweep."""
 
 
-def worker_count() -> int:
-    """Worker cap for the Hochster sweep, from VCMKIT_THREADS (default 1)."""
-    raw = os.environ.get("VCMKIT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def _canon(face_masks) -> tuple:
-    return tuple(sorted(face_masks, key=lambda m: (_popcount(m), m)))
+    """Face masks sorted by (size, mask): a stable sort by size of the sorted masks."""
+    return tuple(sorted(sorted(face_masks), key=int.bit_count))
 
 
 def _layers(faces: tuple) -> list:
@@ -48,22 +48,31 @@ def _layers(faces: tuple) -> list:
     return layers
 
 
-def _boundary_rank(cols: list, rows: list, characteristic: int) -> int:
-    """Rank of the boundary map from the `cols` faces down to the `rows` faces."""
-    if not cols or not rows:
-        return 0
-    index = {m: i for i, m in enumerate(rows)}
-    if characteristic == 2:
-        packed = []
-        for f in cols:
+def _packed_boundaries(layers: list) -> dict:
+    """GF(2) boundary column of every nonempty face, as a bitmask over the
+    positions of its facets in their layer.
+
+    A face set whose layers are sublists of `layers` (a link or restriction
+    of it) reuses these columns: its boundary matrices only lose zero rows.
+    """
+    packed = {}
+    for below, layer in zip(layers, layers[1:]):
+        index = {m: i for i, m in enumerate(below)}
+        for f in layer:
             bits = 0
             sub = f
             while sub:
                 low = sub & -sub
                 bits |= 1 << index[f ^ low]
                 sub ^= low
-            packed.append(bits)
-        return gf2_rank(packed)
+            packed[f] = bits
+    return packed
+
+
+def _boundary_rank(cols: list, rows: list, characteristic: int) -> int:
+    """Rank over GF(p), or Q for 0, of the signed boundary map from the
+    `cols` faces down to the `rows` faces."""
+    index = {m: i for i, m in enumerate(rows)}
     matrix = [[0] * len(cols) for _ in rows]
     for j, f in enumerate(cols):
         sign = 1
@@ -78,25 +87,48 @@ def _boundary_rank(cols: list, rows: list, characteristic: int) -> int:
     return rank_mod_p(matrix, characteristic)
 
 
-@lru_cache(maxsize=None)
-def _ranks_from_faces(faces: tuple, characteristic: int) -> tuple:
-    """Reduced homology ranks of a full face set, as ((dim, rank), ...).
+def _ranks_from_layers(layers: list, characteristic: int, packed: dict = None) -> tuple:
+    """Reduced homology ranks of a face set split by size, as ((dim, rank), ...).
 
-    `faces` must be the complete downward-closed collection of face masks
-    (including the empty face) in the `_canon` order; the cache key is shared
-    by every link and restriction with the same face set.
+    layers[s] lists the masks of size s, from the empty face up to the top
+    size, each layer nonempty.  `packed` holds GF(2) boundary columns valid
+    for these layers (see `_packed_boundaries`); it is built when not given.
+    Over the rationals only the boundaries with GF(2) homology on both sides
+    go to Bareiss; every other rank equals its GF(2) rank (see the module
+    docstring).
     """
-    if not faces:
-        return ()
-    layers = _layers(faces)
     top = len(layers) - 1
     branks = [0] * (top + 2)
-    for s in range(1, top + 1):
-        branks[s] = _boundary_rank(layers[s], layers[s - 1], characteristic)
-    return tuple(
-        (s - 1, len(layers[s]) - branks[s] - branks[s + 1])
-        for s in range(top + 1)
-    )
+    if top:
+        branks[1] = 1  # every vertex maps onto the empty face
+    if characteristic in (0, 2):
+        if packed is None:
+            packed = _packed_boundaries(layers)
+        for s in range(2, top + 1):
+            branks[s] = gf2_rank([packed[f] for f in layers[s]])
+    else:
+        for s in range(2, top + 1):
+            branks[s] = _boundary_rank(layers[s], layers[s - 1], characteristic)
+    sizes = [len(layer) for layer in layers]
+    if characteristic == 0:
+        h2 = [sizes[s] - branks[s] - branks[s + 1] for s in range(top + 1)]
+        for s in range(2, top + 1):
+            if h2[s] and h2[s - 1]:
+                branks[s] = _boundary_rank(layers[s], layers[s - 1], 0)
+    return tuple([(s - 1, sizes[s] - branks[s] - branks[s + 1]) for s in range(top + 1)])
+
+
+@lru_cache(maxsize=4096)
+def _ranks_from_faces(faces: tuple, characteristic: int) -> tuple:
+    """Reduced homology ranks of a full face set in the `_canon` order.
+
+    The Reisner sweep's cached entry point: the key is shared by every link
+    with the same face set, across complexes.  Repeats come close together
+    (the links of one augmentation search's unions): on the benchmark's
+    search workload 1024 entries already keep 95% of the hits an unbounded
+    cache gets, and 4096 leave room for larger complexes.
+    """
+    return _ranks_from_layers(_layers(faces), characteristic)
 
 
 def reduced_homology_ranks(delta: SimplicialComplex, field: CoefficientField) -> dict:
@@ -105,7 +137,9 @@ def reduced_homology_ranks(delta: SimplicialComplex, field: CoefficientField) ->
     The void complex has no homology at all and returns {}; the complex
     {emptyset} has a single rank in dimension -1.
     """
-    return dict(_ranks_from_faces(_canon(delta.face_masks()), field.characteristic))
+    if delta.is_void:
+        return {}
+    return dict(_ranks_from_layers(_layers(_canon(delta.face_masks())), field.characteristic))
 
 
 def boundary_matrix(delta: SimplicialComplex, d: int, field: CoefficientField) -> ExactMatrix:
@@ -157,16 +191,47 @@ class BettiTable:
         return sum(v for (k, _), v in self.entries.items() if k == i)
 
 
-def _hochster_range(delta, characteristic, start, stop):
-    faces = delta.face_masks()
-    found = []
-    for sigma in range(start, stop):
-        sub = _canon([f for f in faces if f & ~sigma == 0])
-        size = _popcount(sigma)
-        for d, h in _ranks_from_faces(sub, characteristic):
+def _hochster_sweep(delta: SimplicialComplex, characteristic: int):
+    """Yield (i, sigma mask, beta) for every nonzero beta_{i, sigma}, by sigma.
+
+    The restriction to sigma keeps the faces missing every vertex outside
+    sigma, filtered layer by layer from the faces of delta.  The restriction
+    to a nonempty face is a simplex, which has no reduced homology.  When
+    some vertices lie in no face, subsets that differ only in those have the
+    same restriction and share one computation.
+    """
+    layers = _layers(_canon(delta.face_masks()))
+    packed = _packed_boundaries(layers) if characteristic in (0, 2) else None
+    used = 0
+    for f in delta.facet_masks:
+        used |= f
+    unused = delta.shape.full_mask & ~used
+    memo = {f: () for layer in layers[1:] for f in layer}
+    for sigma in range(1 << delta.shape.num_vertices):
+        key = sigma & used
+        ranks = memo.get(key)
+        if ranks is None:
+            out = used & ~sigma
+            sub = []
+            for layer in layers:
+                kept = [f for f in layer if not f & out]
+                if not kept:
+                    break
+                sub.append(kept)
+            ranks = _ranks_from_layers(sub, characteristic, packed)
+            if unused:
+                memo[key] = ranks
+        size = sigma.bit_count()
+        for d, h in ranks:
             if h:
-                found.append((size - 1 - d, sigma, h))
-    return found
+                yield size - 1 - d, sigma, h
+
+
+def _check_sweep_size(delta: SimplicialComplex, max_vertices: int) -> None:
+    n = delta.shape.num_vertices
+    if n > max_vertices:
+        raise VertexLimitError(
+            f"{n} vertices exceed the max_vertices={max_vertices} subset sweep bound")
 
 
 def hochster_betti(delta: SimplicialComplex, field: CoefficientField,
@@ -177,37 +242,23 @@ def hochster_betti(delta: SimplicialComplex, field: CoefficientField,
     to sigma in dimension |sigma| - i - 1; the sweep walks all vertex
     subsets, so it refuses shapes with more than `max_vertices` vertices.
     """
-    n = delta.shape.num_vertices
-    if n > max_vertices:
-        raise VertexLimitError(
-            f"{n} vertices exceed the max_vertices={max_vertices} subset sweep bound")
+    _check_sweep_size(delta, max_vertices)
     if delta.is_void:
         return BettiTable({})
-    total = 1 << n
-    workers = min(worker_count(), total)
-    if workers == 1:
-        found = _hochster_range(delta, field.characteristic, 0, total)
-    else:
-        step = -(-total // workers)
-        spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                lambda span: _hochster_range(delta, field.characteristic, *span), spans)
-            found = [item for part in parts for item in part]
     shape = delta.shape
-    entries = {}
-    for i, sigma, h in found:
-        entries[(i, shape.face_from_mask(sigma))] = h
-    return BettiTable(entries)
+    return BettiTable({
+        (i, shape.face_from_mask(sigma)): h
+        for i, sigma, h in _hochster_sweep(delta, field.characteristic)
+    })
 
 
 def projective_dimension(delta: SimplicialComplex, field: CoefficientField,
                          max_vertices: int = 20) -> int:
     """Length of the minimal free resolution of the Stanley-Reisner quotient."""
-    table = hochster_betti(delta, field, max_vertices=max_vertices)
-    if table.max_index is None:
+    _check_sweep_size(delta, max_vertices)
+    if delta.is_void:
         raise ValueError("the void complex presents the zero module; no projective dimension")
-    return table.max_index
+    return max(i for i, _, _ in _hochster_sweep(delta, field.characteristic))
 
 
 # -- Cohen-Macaulay tests -------------------------------------------------

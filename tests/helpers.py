@@ -5,11 +5,13 @@ Fraction Gaussian elimination, permutation search) so library results can
 be checked against an independent implementation.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 from vcmkit import (
+    BettiTable,
     Shape,
     SimplicialComplex,
     Vertex,
@@ -19,6 +21,7 @@ from vcmkit import (
     union,
     verify_shelling,
 )
+from vcmkit.linalg import gf2_rank, integer_rank, rank_mod_p
 
 
 def cx(entries, *facets):
@@ -242,3 +245,68 @@ def random_certificate_cases(count=200):
         shape = Shape(RANDOM_CERTIFICATE_SHAPES[i % len(RANDOM_CERTIFICATE_SHAPES)])
         delta = random_balanced(shape, rng)
         yield delta, balanced_vcm_certificate(delta)
+
+
+def boundary_rank_direct(cols, rows, characteristic):
+    """Rank of the signed boundary map from `cols` faces to `rows` faces:
+    packed elimination over GF(2), otherwise on a dense matrix (Bareiss
+    over Q, modular elimination over odd GF(p))."""
+    if not cols or not rows:
+        return 0
+    index = {m: i for i, m in enumerate(rows)}
+    if characteristic == 2:
+        packed = []
+        for f in cols:
+            bits = 0
+            sub = f
+            while sub:
+                low = sub & -sub
+                bits |= 1 << index[f ^ low]
+                sub ^= low
+            packed.append(bits)
+        return gf2_rank(packed)
+    matrix = [[0] * len(cols) for _ in rows]
+    for j, f in enumerate(cols):
+        sign = 1
+        sub = f
+        while sub:
+            low = sub & -sub
+            matrix[index[f ^ low]][j] = sign
+            sign = -sign
+            sub ^= low
+    if characteristic == 0:
+        return integer_rank(matrix)
+    return rank_mod_p(matrix, characteristic)
+
+
+def canon_faces(face_masks):
+    return tuple(sorted(sorted(face_masks), key=int.bit_count))
+
+
+@functools.lru_cache(maxsize=None)
+def ranks_from_faces_oracle(faces, characteristic):
+    """((dim, rank), ...) of a canonical face tuple, every boundary ranked
+    directly (no GF(2) certificate over Q)."""
+    if not faces:
+        return ()
+    top = max(m.bit_count() for m in faces)
+    layers = [[m for m in faces if m.bit_count() == s] for s in range(top + 1)]
+    branks = [0] * (top + 2)
+    for s in range(1, top + 1):
+        branks[s] = boundary_rank_direct(layers[s], layers[s - 1], characteristic)
+    return tuple((s - 1, len(layers[s]) - branks[s] - branks[s + 1]) for s in range(top + 1))
+
+
+def hochster_betti_oracle(delta, characteristic):
+    """Betti table by the plain Hochster sweep: for every vertex subset,
+    filter all faces, sort them canonically and rank every boundary."""
+    faces = delta.face_masks()
+    shape = delta.shape
+    entries = {}
+    for sigma in range(1 << shape.num_vertices):
+        sub = canon_faces([f for f in faces if f & ~sigma == 0])
+        size = sigma.bit_count()
+        for d, h in ranks_from_faces_oracle(sub, characteristic):
+            if h:
+                entries[(size - 1 - d, shape.face_from_mask(sigma))] = h
+    return BettiTable(entries)

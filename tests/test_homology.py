@@ -5,6 +5,7 @@ import pytest
 from vcmkit import (
     QQ,
     GF,
+    CoefficientField,
     Shape,
     SimplicialComplex,
     Vertex,
@@ -14,13 +15,28 @@ from vcmkit import (
     has_field_dependent_homology,
     hochster_betti,
     ideal_of,
+    irrelevant_complex,
     is_cm_pdim,
     is_cm_reisner,
     projective_dimension,
     reduced_homology_ranks,
+    union,
 )
-from vcmkit.homology import _ranks_from_faces, worker_count
-from helpers import cx, euler_characteristic_reduced, random_complex
+from vcmkit.homology import (
+    _boundary_rank,
+    _canon,
+    _layers,
+    _ranks_from_faces,
+    _ranks_from_layers,
+)
+from helpers import (
+    antichains_nonvoid,
+    cx,
+    euler_characteristic_reduced,
+    fraction_rank,
+    hochster_betti_oracle,
+    random_complex,
+)
 
 V = Vertex
 
@@ -31,6 +47,26 @@ def rp2():
     tris = ["125", "126", "134", "136", "145", "234", "235", "246", "356", "456"]
     facets = [[V(1, int(ch) - 1) for ch in word] for word in tris]
     return SimplicialComplex.from_facets(Shape((5,)), facets)
+
+
+@pytest.fixture(scope="module")
+def five_vertex():
+    """All 7,580 nonvoid complexes on five vertices."""
+    shape = Shape((4,))
+    cases = [SimplicialComplex(shape, masks) for masks in antichains_nonvoid(5)]
+    cases.append(SimplicialComplex(shape, (0,)))
+    return cases
+
+
+def seeded_unions():
+    """Irrelevant complex plus seeded balanced facets on 9, 10 and 11 vertices."""
+    rng = random.Random(20261018)
+    out = []
+    for entries, k in (((2, 2, 2), 8), ((3, 2, 2), 11), ((3, 3, 2), 14)):
+        shape = Shape(entries)
+        chosen = SimplicialComplex(shape, tuple(rng.sample(shape.balanced_masks(), k)))
+        out.append(union(chosen, irrelevant_complex(shape)))
+    return out
 
 
 def hollow_triangle():
@@ -204,18 +240,67 @@ class TestHochster:
         with pytest.raises(VertexLimitError):
             projective_dimension(d, QQ, max_vertices=5)
 
-    def test_worker_count_parsing(self, monkeypatch):
-        monkeypatch.delenv("VCMKIT_THREADS", raising=False)
-        assert worker_count() == 1
-        for raw, want in [("4", 4), ("0", 1), ("-2", 1), ("many", 1)]:
-            monkeypatch.setenv("VCMKIT_THREADS", raw)
-            assert worker_count() == want
+class TestSweepAgainstOracle:
+    """The layered sweep, with Q ranks certified by GF(2), against the plain
+    sweep that ranks every boundary of every restriction directly."""
 
-    def test_threaded_sweep_matches(self, monkeypatch, fig1):
-        single = hochster_betti(fig1.complex, GF(3))
-        monkeypatch.setenv("VCMKIT_THREADS", "4")
-        _ranks_from_faces.cache_clear()
-        assert hochster_betti(fig1.complex, GF(3)) == single
+    def test_all_five_vertex_complexes_over_q(self, five_vertex):
+        for delta in five_vertex:
+            assert hochster_betti(delta, QQ) == hochster_betti_oracle(delta, 0)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_seeded_five_vertex_complexes_over_gfp(self, five_vertex, p):
+        for delta in random.Random(20261018 + p).sample(five_vertex, 1000):
+            assert hochster_betti(delta, GF(p)) == hochster_betti_oracle(delta, p)
+
+    @pytest.mark.parametrize("characteristic", [0, 2, 3])
+    def test_torsion_unused_vertices_and_unions(self, rp2, characteristic):
+        # RP^2 on 6 of 8 vertices, and a strip missing the whole second component.
+        rp2_wide = SimplicialComplex(Shape((3, 3)), rp2.facet_masks)
+        strip = cx((3, 3), [(1, 0), (1, 1), (1, 2)], [(1, 1), (1, 2), (1, 3)])
+        field = CoefficientField(characteristic)
+        for delta in [rp2, rp2_wide, strip] + seeded_unions():
+            assert hochster_betti(delta, field) == hochster_betti_oracle(delta, characteristic)
+
+    def test_certified_q_ranks_equal_bareiss(self, rp2):
+        rng = random.Random(20261019)
+        cases = [rp2] + [random_complex(Shape((3, 2)), rng, max_facets=6) for _ in range(80)]
+        bareiss_needed = 0
+        for delta in cases:
+            if delta.is_void:
+                continue
+            layers = _layers(_canon(delta.face_masks()))
+            top = len(layers) - 1
+            branks = [0] * (top + 2)
+            for s in range(1, top + 1):
+                branks[s] = _boundary_rank(layers[s], layers[s - 1], 0)
+                assert branks[s] == fraction_rank(boundary_matrix(delta, s - 1, QQ).rows)
+            want = tuple((s - 1, len(layers[s]) - branks[s] - branks[s + 1])
+                         for s in range(top + 1))
+            assert _ranks_from_layers(layers, 0) == want
+            if want != _ranks_from_layers(layers, 2):
+                bareiss_needed += 1
+        assert bareiss_needed  # RP^2: its GF(2) ranks alone would be wrong over Q
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+    def test_projective_dimension_is_max_index(self, rp2, field):
+        rng = random.Random(20261020 + field.characteristic)
+        cases = [rp2] + [random_complex(Shape((2, 2)), rng) for _ in range(40)]
+        for delta in cases:
+            if delta.is_void:
+                continue
+            assert projective_dimension(delta, field) == hochster_betti(delta, field).max_index
+
+    def test_sweep_leaves_rank_cache_alone(self, fig1):
+        before = _ranks_from_faces.cache_info()
+        for field in (QQ, GF(2), GF(3)):
+            hochster_betti(fig1.complex, field)
+            projective_dimension(fig1.complex, field)
+        after = _ranks_from_faces.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_rank_cache_is_bounded(self):
+        assert _ranks_from_faces.cache_info().maxsize is not None
 
 
 class TestProjectiveDimension:
