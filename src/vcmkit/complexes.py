@@ -42,6 +42,18 @@ class FaceNotInComplexError(ValueError):
     """An operation required a face the complex does not contain."""
 
 
+class VertexLimitError(ValueError):
+    """The vertex count exceeds the configured bound for a subset sweep."""
+
+
+def _check_vertex_bound(shape: Shape, max_vertices: int) -> None:
+    """Refuse a step that walks all 2^n vertex subsets when n > max_vertices."""
+    n = shape.num_vertices
+    if n > max_vertices:
+        raise VertexLimitError(
+            f"{n} vertices exceed the max_vertices={max_vertices} subset sweep bound")
+
+
 def format_face(face: Iterable[Vertex]) -> str:
     return "{" + ",".join(str(v) for v in sorted(face)) + "}"
 

@@ -25,13 +25,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, _popcount
+from .complexes import SimplicialComplex, _check_vertex_bound, _popcount
+from .complexes import VertexLimitError  # noqa: F401  (re-exported for existing importers)
 from .linalg import CoefficientField, ExactMatrix, gf2_rank, integer_rank, rank_mod_p
 from .stanley_reisner import codim_affine
-
-
-class VertexLimitError(ValueError):
-    """The vertex count exceeds the configured bound for a subset sweep."""
 
 
 def _canon(face_masks) -> tuple:
@@ -227,13 +224,6 @@ def _hochster_sweep(delta: SimplicialComplex, characteristic: int):
                 yield size - 1 - d, sigma, h
 
 
-def _check_sweep_size(delta: SimplicialComplex, max_vertices: int) -> None:
-    n = delta.shape.num_vertices
-    if n > max_vertices:
-        raise VertexLimitError(
-            f"{n} vertices exceed the max_vertices={max_vertices} subset sweep bound")
-
-
 def hochster_betti(delta: SimplicialComplex, field: CoefficientField,
                    max_vertices: int = 20) -> BettiTable:
     """Betti table of the Stanley-Reisner quotient via Hochster's formula.
@@ -242,7 +232,7 @@ def hochster_betti(delta: SimplicialComplex, field: CoefficientField,
     to sigma in dimension |sigma| - i - 1; the sweep walks all vertex
     subsets, so it refuses shapes with more than `max_vertices` vertices.
     """
-    _check_sweep_size(delta, max_vertices)
+    _check_vertex_bound(delta.shape, max_vertices)
     if delta.is_void:
         return BettiTable({})
     shape = delta.shape
@@ -255,7 +245,7 @@ def hochster_betti(delta: SimplicialComplex, field: CoefficientField,
 def projective_dimension(delta: SimplicialComplex, field: CoefficientField,
                          max_vertices: int = 20) -> int:
     """Length of the minimal free resolution of the Stanley-Reisner quotient."""
-    _check_sweep_size(delta, max_vertices)
+    _check_vertex_bound(delta.shape, max_vertices)
     if delta.is_void:
         raise ValueError("the void complex presents the zero module; no projective dimension")
     return max(i for i, _, _ in _hochster_sweep(delta, field.characteristic))

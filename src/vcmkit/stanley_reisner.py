@@ -6,8 +6,11 @@ projective spaces the irrelevant ideal B is the intersection of the
 coordinate ideals of the components, equivalently the ideal generated by all
 balanced monomials.  Saturating the Stanley-Reisner ideal by B is the same
 as dropping the facets that miss a component, which is how `saturate_by_B`
-computes it; `saturation_oracle` is the slow ideal-theoretic version used to
-cross-check that shortcut.
+computes it.  `saturation_oracle` is the independent ideal-theoretic version
+used to cross-check that shortcut: it iterates the colon ideal on exponent
+vectors packed into one int each, so divisibility, colons and lcms are a few
+bit operations per pair.  `ideal_of` and `complex_of` walk all 2^n vertex
+subsets and refuse shapes past their `max_vertices` bound.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .complexes import Face, Shape, SimplicialComplex, _popcount
+from .complexes import Face, Shape, SimplicialComplex, _check_vertex_bound, _popcount
 
 
 class EmptyVarietyError(ValueError):
@@ -100,9 +103,14 @@ class IrrelevantIdealB:
         return SqfIdeal(self.shape, self.generator_masks)
 
 
-def ideal_of(delta: SimplicialComplex) -> SqfIdeal:
-    """Stanley-Reisner ideal: generated by the minimal nonfaces of the complex."""
+def ideal_of(delta: SimplicialComplex, max_vertices: int = 20) -> SqfIdeal:
+    """Stanley-Reisner ideal: generated by the minimal nonfaces of the complex.
+
+    Walks the vertex subsets by size, so it refuses shapes with more than
+    `max_vertices` vertices (VertexLimitError).
+    """
     shape = delta.shape
+    _check_vertex_bound(shape, max_vertices)
     if delta.is_void:
         return SqfIdeal(shape, (), is_unit=True)
     positions = range(shape.num_vertices)
@@ -119,11 +127,16 @@ def ideal_of(delta: SimplicialComplex) -> SqfIdeal:
     return SqfIdeal(shape, tuple(gens))
 
 
-def complex_of(ideal: SqfIdeal) -> SimplicialComplex:
-    """Stanley-Reisner complex: faces are the subsets containing no generator."""
+def complex_of(ideal: SqfIdeal, max_vertices: int = 20) -> SimplicialComplex:
+    """Stanley-Reisner complex: faces are the subsets containing no generator.
+
+    Tabulates all 2^n vertex subsets, so it refuses shapes with more than
+    `max_vertices` vertices (VertexLimitError) before allocating the table.
+    """
+    shape = ideal.shape
+    _check_vertex_bound(shape, max_vertices)
     if ideal.is_unit:
         raise UnitIdealError("the unit ideal corresponds to no simplicial complex")
-    shape = ideal.shape
     n = shape.num_vertices
     gens = ideal.generator_masks
     is_face = bytearray(1 << n)
@@ -189,30 +202,78 @@ def codim_affine(delta: SimplicialComplex) -> int:
 
 
 # -- exponent-vector oracle ----------------------------------------------
+#
+# Exponent vectors are packed into one int each: one field of `width` bits
+# per variable, variable 0 in the most significant field, so int order is
+# tuple order.  Every value stays below the top bit of its field (colons
+# and lcms never exceed the largest input exponent), which leaves that bit
+# free as a guard: (a | guard) - b subtracts all fields at once without
+# borrowing across them, and the surviving guard bits mark the fields where
+# a >= b.
 
 
-def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+class _Packing(NamedTuple):
+    nvars: int
+    width: int
+    ones: int  # the lowest bit of every field
+    guard: int  # the top bit of every field
+
+    @classmethod
+    def for_exponents(cls, nvars: int, max_exponent: int) -> "_Packing":
+        width = max_exponent.bit_length() + 1
+        ones = sum(1 << (i * width) for i in range(nvars))
+        return cls(nvars, width, ones, ones << (width - 1))
+
+    def pack(self, vec) -> int:
+        v = 0
+        for e in vec:
+            v = v << self.width | e
+        return v
+
+    def unpack(self, v: int) -> tuple:
+        field = (1 << self.width) - 1
+        return tuple(v >> (self.width * i) & field for i in reversed(range(self.nvars)))
+
+    def degree(self, v: int) -> int:
+        """Sum of the fields, one popcount per bit plane."""
+        total = 0
+        for j in range(self.width - 1):
+            total += (v & (self.ones << j)).bit_count() << j
+        return total
+
+    def colon(self, a: int, b: int) -> int:
+        """Fieldwise max(a - b, 0): the generator of (a : b)."""
+        d = (a | self.guard) - b
+        return d & ((d & self.guard) >> (self.width - 1)) * ((1 << (self.width - 1)) - 1)
 
 
-def _minimalize(gens):
-    ordered = sorted(set(gens), key=lambda g: (sum(g), g))
+def _minimalize(gens, packing: _Packing) -> list:
+    """Divisibility-minimal generators, sorted by (degree, exponents).
+
+    Int order is a linear extension of divisibility (a divisor is
+    lexicographically no larger), so one pass in int order finds the
+    minimal generators; only those are sorted by degree.
+    """
+    guard = packing.guard
     kept = []
-    for g in ordered:
-        if not any(_divides(k, g) for k in kept):
+    for g in sorted(set(gens)):
+        lifted = g | guard
+        for k in kept:
+            if (lifted - k) & guard == guard:
+                break
+        else:
             kept.append(g)
+    kept.sort(key=lambda v: (packing.degree(v), v))
     return kept
 
 
-def _colon_monomial(gens, b):
-    return _minimalize(tuple(max(x - y, 0) for x, y in zip(g, b)) for g in gens)
+def _colon_monomial(gens, b, packing: _Packing) -> list:
+    return _minimalize([packing.colon(g, b) for g in gens], packing)
 
 
-def _intersect(a_gens, b_gens):
-    return _minimalize(
-        tuple(max(x, y) for x, y in zip(a, b))
-        for a in a_gens for b in b_gens
-    )
+def _intersect(a_gens, b_gens, packing: _Packing) -> list:
+    # lcm(a, b) = b * (a : b): fieldwise max(a, b) = b + max(a - b, 0).
+    return _minimalize([b + packing.colon(a, b) for a in a_gens for b in b_gens], packing)
 
 
 def saturation_oracle(ideal_gens: Sequence, b_gens: Sequence,
@@ -220,11 +281,14 @@ def saturation_oracle(ideal_gens: Sequence, b_gens: Sequence,
     """Saturate one monomial ideal by another on raw exponent vectors.
 
     Iterates the colon ideal (I : B) = intersection of (I : b) over the
-    generators b of B until it stabilises.  Intermediate generators whose
+    generators b of B until it stabilises, independently of the facet
+    shortcut in `saturate_by_B`.  The exponent vectors are packed into ints
+    for the iteration, so divisibility, colons and lcms are a few bit
+    operations each, for any exponent size.  Intermediate generators whose
     total degree exceeds `degree_bound` (default: number of variables, which
     is safe for squarefree inputs) abort with DegreeBoundError.  Returns the
-    minimal generators sorted by (degree, exponents); the unit ideal comes
-    back as [the zero vector], the zero ideal as [].
+    minimal generators as tuples sorted by (degree, exponents); the unit
+    ideal comes back as [the zero vector], the zero ideal as [].
     """
     ideal_gens = [tuple(int(e) for e in g) for g in ideal_gens]
     b_gens = [tuple(int(e) for e in g) for g in b_gens]
@@ -240,19 +304,21 @@ def saturation_oracle(ideal_gens: Sequence, b_gens: Sequence,
         degree_bound = nvars
     if not ideal_gens:
         return []
+    packing = _Packing.for_exponents(nvars, max(max(g, default=0) for g in ideal_gens + b_gens))
 
     def check(gens):
-        worst = max((sum(g) for g in gens), default=0)
+        worst = packing.degree(gens[-1]) if gens else 0
         if worst > degree_bound:
             raise DegreeBoundError(
                 f"intermediate generator of degree {worst} exceeds bound {degree_bound}")
         return gens
 
-    current = check(_minimalize(ideal_gens))
+    b_packed = [packing.pack(b) for b in b_gens]
+    current = check(_minimalize([packing.pack(g) for g in ideal_gens], packing))
     while True:
-        quotient = check(_colon_monomial(current, b_gens[0]))
-        for b in b_gens[1:]:
-            quotient = check(_intersect(quotient, _colon_monomial(current, b)))
+        quotient = check(_colon_monomial(current, b_packed[0], packing))
+        for b in b_packed[1:]:
+            quotient = check(_intersect(quotient, _colon_monomial(current, b, packing), packing))
         if quotient == current:
-            return current
+            return [packing.unpack(v) for v in current]
         current = quotient

@@ -5,9 +5,11 @@ to its codimension resolves it away from the irrelevant locus.  The workable
 route here: augment the complex by irrelevant facets of top dimension until
 the union becomes Cohen-Macaulay; the union's minimal resolution then has
 the right length and restricts correctly.  This module carries the sparse
-polynomial arithmetic for matrix presentations, the two worked 6-vertex
-fixtures with their displayed matrix pairs, the exhaustive augmentation
-search, and the certificate containers shared with the CLI.
+polynomial arithmetic for matrix presentations (`compose_failures` multiplies
+only nonzero entries, accumulating coefficient dicts per product entry), the
+two worked 6-vertex fixtures with their displayed matrix pairs, the
+exhaustive augmentation search, and the certificate containers shared with
+the CLI.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from operator import add
 from typing import NamedTuple
 
 from .complexes import Face, Shape, SimplicialComplex, Vertex, _popcount, format_face, union
@@ -116,7 +119,7 @@ def parse_polynomial(text: str, shape: Shape) -> Polynomial:
     chunks = re.findall(r"[+-]?[^+-]+", stripped)
     if "".join(chunks) != stripped:
         raise ValueError(f"cannot tokenise polynomial {text!r}")
-    poly = Polynomial.zero(nvars)
+    coeffs = {}
     for chunk in chunks:
         sign = 1
         body = chunk
@@ -138,8 +141,9 @@ def parse_polynomial(text: str, shape: Shape) -> Polynomial:
             if not shape.is_valid_vertex(v):
                 raise ValueError(f"variable {v} is outside shape {shape}")
             expo[shape.bit(v)] += 1
-        poly = poly + Polynomial(nvars, {tuple(expo): coeff})
-    return poly
+        key = tuple(expo)
+        coeffs[key] = coeffs.get(key, 0) + coeff
+    return Polynomial(nvars, coeffs)
 
 
 def render_polynomial(poly: Polynomial, shape: Shape) -> str:
@@ -203,18 +207,29 @@ class FreeComplexPresentation:
 
 
 def compose_failures(pres: FreeComplexPresentation) -> tuple:
-    """Positions (pair k, row, col) where matrices[k] @ matrices[k+1] is nonzero."""
-    nvars = pres.shape.num_vertices
+    """Positions (pair k, row, col) where matrices[k] @ matrices[k+1] is nonzero.
+
+    Sparse: the nonzero entries of each row of the right-hand matrix are
+    listed once, and row i of the product accumulates only the products of
+    nonzero entries, one coefficient dict per column.
+    """
     bad = []
     for k in range(len(pres.matrices) - 1):
         left, right = pres.matrices[k], pres.matrices[k + 1]
-        for i in range(len(left)):
-            for j in range(pres.ranks[k + 2]):
-                acc = Polynomial.zero(nvars)
-                for t in range(pres.ranks[k + 1]):
-                    acc = acc + left[i][t] * right[t][j]
-                if not acc.is_zero():
-                    bad.append((k, i, j))
+        right_rows = [[(j, entry.terms.items()) for j, entry in enumerate(row) if entry.terms]
+                      for row in right]
+        for i, row in enumerate(left):
+            sums = {}
+            for t, entry in enumerate(row):
+                if not entry.terms:
+                    continue
+                for j, right_terms in right_rows[t]:
+                    acc = sums.setdefault(j, {})
+                    for ea, ca in entry.terms.items():
+                        for eb, cb in right_terms:
+                            key = tuple(map(add, ea, eb))
+                            acc[key] = acc.get(key, 0) + ca * cb
+            bad.extend((k, i, j) for j in sorted(sums) if any(sums[j].values()))
     return tuple(bad)
 
 

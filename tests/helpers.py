@@ -12,6 +12,9 @@ from fractions import Fraction
 
 from vcmkit import (
     BettiTable,
+    DegreeBoundError,
+    FreeComplexPresentation,
+    Polynomial,
     Shape,
     SimplicialComplex,
     Vertex,
@@ -310,3 +313,126 @@ def hochster_betti_oracle(delta, characteristic):
             if h:
                 entries[(size - 1 - d, shape.face_from_mask(sigma))] = h
     return BettiTable(entries)
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _minimalize_tuples(gens):
+    ordered = sorted(set(gens), key=lambda g: (sum(g), g))
+    kept = []
+    for g in ordered:
+        if not any(_divides(k, g) for k in kept):
+            kept.append(g)
+    return kept
+
+
+def saturation_oracle_tuples(ideal_gens, b_gens, degree_bound=None):
+    """The colon-ideal saturation on plain exponent tuples: iterate
+    (I : B) = intersection of (I : b) until it stabilises, with the
+    library's validation, DegreeBoundError messages and output order."""
+    ideal_gens = [tuple(int(e) for e in g) for g in ideal_gens]
+    b_gens = [tuple(int(e) for e in g) for g in b_gens]
+    if not b_gens:
+        raise ValueError("cannot saturate by the zero ideal")
+    nvars = len(b_gens[0])
+    for g in ideal_gens + b_gens:
+        if len(g) != nvars:
+            raise ValueError("exponent vectors have inconsistent lengths")
+        if any(e < 0 for e in g):
+            raise ValueError(f"negative exponent in {g}")
+    if degree_bound is None:
+        degree_bound = nvars
+    if not ideal_gens:
+        return []
+
+    def check(gens):
+        worst = max((sum(g) for g in gens), default=0)
+        if worst > degree_bound:
+            raise DegreeBoundError(
+                f"intermediate generator of degree {worst} exceeds bound {degree_bound}")
+        return gens
+
+    def colon(gens, b):
+        return _minimalize_tuples(tuple(max(x - y, 0) for x, y in zip(g, b)) for g in gens)
+
+    def intersect(a_gens, b_gens):
+        return _minimalize_tuples(
+            tuple(max(x, y) for x, y in zip(a, b)) for a in a_gens for b in b_gens)
+
+    current = check(_minimalize_tuples(ideal_gens))
+    while True:
+        quotient = check(colon(current, b_gens[0]))
+        for b in b_gens[1:]:
+            quotient = check(intersect(quotient, colon(current, b)))
+        if quotient == current:
+            return current
+        current = quotient
+
+
+def compose_failures_dense(pres):
+    """Positions (pair k, row, col) where matrices[k] @ matrices[k+1] is
+    nonzero, summing every product, zero entries included, as Polynomials."""
+    nvars = pres.shape.num_vertices
+    bad = []
+    for k in range(len(pres.matrices) - 1):
+        left, right = pres.matrices[k], pres.matrices[k + 1]
+        for i in range(len(left)):
+            for j in range(pres.ranks[k + 2]):
+                acc = Polynomial.zero(nvars)
+                for t in range(pres.ranks[k + 1]):
+                    acc = acc + left[i][t] * right[t][j]
+                if not acc.is_zero():
+                    bad.append((k, i, j))
+    return tuple(bad)
+
+
+def koszul_presentation(shape, variables):
+    """Koszul complex on the given variable positions.
+
+    matrices[k] maps the (k+1)-subsets of the variables to the k-subsets;
+    entry [S][T] is (-1)^pos * x_v when S is T without its pos-th element v.
+    """
+    nvars = shape.num_vertices
+    basis = [list(itertools.combinations(variables, k)) for k in range(len(variables) + 1)]
+    matrices = []
+    for k in range(len(variables)):
+        index = {s: i for i, s in enumerate(basis[k])}
+        rows = [[Polynomial.zero(nvars)] * len(basis[k + 1]) for _ in basis[k]]
+        for col, subset in enumerate(basis[k + 1]):
+            for pos, v in enumerate(subset):
+                row = index[subset[:pos] + subset[pos + 1:]]
+                rows[row][col] = (-1) ** pos * Polynomial.variable(nvars, v)
+        matrices.append(rows)
+    return FreeComplexPresentation(shape, tuple(len(b) for b in basis), tuple(matrices))
+
+
+def flip_one_entry(pres, rng):
+    """The presentation with one seeded nonzero entry negated."""
+    k = rng.randrange(len(pres.matrices))
+    i, j = rng.choice([(i, j) for i, row in enumerate(pres.matrices[k])
+                       for j, entry in enumerate(row) if not entry.is_zero()])
+    mats = [[list(row) for row in mat] for mat in pres.matrices]
+    mats[k][i][j] = -mats[k][i][j]
+    return FreeComplexPresentation(pres.shape, pres.ranks, mats)
+
+
+def random_presentation(shape, rng, max_rank=4, max_length=5, density=0.4):
+    """Free complex of random ranks with sparse random entries: each entry is
+    zero with probability 1 - density, otherwise 1-3 terms with exponents
+    0-1 and coefficients +-1, +-2 (constants included)."""
+    nvars = shape.num_vertices
+
+    def entry():
+        if rng.random() >= density:
+            return Polynomial.zero(nvars)
+        return Polynomial(nvars, [
+            (tuple(rng.randint(0, 1) for _ in range(nvars)), rng.choice((-2, -1, 1, 2)))
+            for _ in range(rng.randint(1, 3))])
+
+    ranks = tuple(rng.randint(0, max_rank) for _ in range(rng.randint(1, max_length)))
+    matrices = tuple(
+        tuple(tuple(entry() for _ in range(ranks[k + 1])) for _ in range(ranks[k]))
+        for k in range(len(ranks) - 1))
+    return FreeComplexPresentation(shape, ranks, matrices)

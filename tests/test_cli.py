@@ -14,7 +14,7 @@ from vcmkit.documents import (
     parse_matrix_document,
 )
 from vcmkit.vres import paper_fixture
-from helpers import cx
+from helpers import compose_failures_dense, cx, flip_one_entry, koszul_presentation
 
 
 def run(capsys, *argv):
@@ -277,6 +277,22 @@ class TestVerifyComplexCommand:
         assert code == 1
         assert report["all_zero"] is False
         assert report["pairs"] == [{"pair": 0, "ok": False, "failures": [[2, 4]]}]
+
+    def test_koszul_chains_report_the_dense_failures(self, tmp_path, capsys):
+        rng = random.Random(20261021)
+        shape = Shape((3, 3, 3))
+        for m in (4, 6, 7):
+            pres = koszul_presentation(shape, rng.sample(range(shape.num_vertices), m))
+            for chain in (pres, flip_one_entry(pres, rng)):
+                path = write_doc(tmp_path, f"koszul{m}.json", matrix_document(chain))
+                code, report, _ = run_json(capsys, "verify-complex", path)
+                want = compose_failures_dense(chain)
+                assert code == (1 if want else 0)
+                assert report["all_zero"] is not want
+                assert report["pairs"] == [
+                    {"pair": p, "ok": not bad, "failures": bad}
+                    for p in range(len(chain.matrices) - 1)
+                    for bad in [[[i, j] for kk, i, j in want if kk == p]]]
 
     def test_unparseable_matrix_file(self, tmp_path, capsys):
         path = tmp_path / "nonsense.json"

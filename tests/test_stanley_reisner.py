@@ -12,6 +12,7 @@ from vcmkit import (
     SqfIdeal,
     UnitIdealError,
     Vertex,
+    VertexLimitError,
     codim,
     codim_affine,
     complex_of,
@@ -20,6 +21,7 @@ from vcmkit import (
     saturate_by_B,
     saturation_oracle,
 )
+from vcmkit import complexes, homology
 from vcmkit.stanley_reisner import is_saturated
 from helpers import (
     antichains_nonvoid,
@@ -28,6 +30,7 @@ from helpers import (
     minimal_nonfaces_bruteforce,
     random_balanced,
     random_complex,
+    saturation_oracle_tuples,
 )
 
 V = Vertex
@@ -138,6 +141,31 @@ class TestComplexOf:
                 continue
             ideal = ideal_of(d)
             assert ideal_of(complex_of(ideal)) == ideal
+
+
+class TestVertexBound:
+    shape = Shape((20,))  # 21 vertices
+
+    def test_complex_of_refuses_before_tabulating(self):
+        with pytest.raises(VertexLimitError, match="21 vertices exceed the max_vertices=20"):
+            complex_of(SqfIdeal(self.shape, ()))
+
+    def test_ideal_of_refuses_before_walking(self):
+        full = SimplicialComplex(self.shape, (self.shape.full_mask,))
+        with pytest.raises(VertexLimitError, match="21 vertices exceed the max_vertices=20"):
+            ideal_of(full)
+
+    def test_bound_is_a_keyword(self):
+        d = cx((3,), [(1, 0), (1, 1)])  # 4 vertices
+        with pytest.raises(VertexLimitError):
+            ideal_of(d, max_vertices=3)
+        with pytest.raises(VertexLimitError):
+            complex_of(ideal_of(d), max_vertices=3)
+        assert complex_of(ideal_of(d, max_vertices=4), max_vertices=4) == d
+
+    def test_one_class_everywhere(self):
+        assert homology.VertexLimitError is complexes.VertexLimitError is VertexLimitError
+        assert issubclass(VertexLimitError, ValueError)
 
 
 class TestPrimeComponents:
@@ -296,3 +324,99 @@ class TestSaturationOracle:
             got = saturation_oracle(exponent_vectors(ideal_of(d)), b_vecs)
             want = exponent_vectors(ideal_of(saturate_by_B(d)))
             assert sorted(got) == sorted(want)
+
+
+def _outcome(oracle, *args, **kwargs):
+    """The oracle's result, or the type and message of what it raised."""
+    try:
+        return oracle(*args, **kwargs)
+    except (ValueError, DegreeBoundError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_as_tuples(*args, **kwargs):
+    want = _outcome(saturation_oracle_tuples, *args, **kwargs)
+    assert _outcome(saturation_oracle, *args, **kwargs) == want
+    return want
+
+
+def _random_vector(rng, nvars):
+    return tuple(rng.randint(1, 9) if rng.random() < 0.5 else 0 for _ in range(nvars))
+
+
+class TestSaturationOracleAgainstTuples:
+    """The packed-int oracle against the colon iteration on plain tuples."""
+
+    def test_random_inputs(self):
+        rng = random.Random(20261018)
+        outcomes = set()
+        for _ in range(1000):
+            n = rng.randint(1, 6)
+            ideal = [_random_vector(rng, n) for _ in range(rng.randint(0, 4))]
+            b = [_random_vector(rng, n) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.1:
+                b.insert(rng.randint(0, len(b)), (0,) * n)
+            bound = rng.choice([None, 9 * n, 9 * n, rng.randint(0, 9 * n)])
+            want = _same_as_tuples(ideal, b, degree_bound=bound)
+            outcomes.add(want[0] if isinstance(want, tuple) else len(want) > 1)
+        # Both errors-free results with several generators and bound errors occurred.
+        assert {True, DegreeBoundError} <= outcomes
+
+    def test_zero_vector_in_b(self):
+        rng = random.Random(73)
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            ideal = [_random_vector(rng, n) for _ in range(rng.randint(1, 4))]
+            b = [_random_vector(rng, n) for _ in range(rng.randint(0, 3))] + [(0,) * n]
+            rng.shuffle(b)
+            assert _same_as_tuples(ideal, b, degree_bound=9 * n) == saturation_oracle_tuples(
+                ideal, [(0,) * n], degree_bound=9 * n)
+
+    def test_unit_zero_and_empty_cases(self):
+        for ideal, b in [
+            ([(0, 0, 0)], [(1, 0, 2)]),
+            ([(3, 1, 0), (0, 0, 0), (0, 2, 0)], [(1, 1, 1), (0, 0, 4)]),
+            ([], [(1, 0, 0)]),
+            ([], [(0, 0, 0)]),
+            ([()], [()]),
+            ([], [()]),
+        ]:
+            _same_as_tuples(ideal, b)
+
+    def test_validation_errors(self):
+        for ideal, b in [
+            ([(1, 0)], []),
+            ([], []),
+            ([(1,)], [(1, 0)]),
+            ([(1, 0)], [(1, 0), (1,)]),
+            ([(-1, 0)], [(1, 0)]),
+            ([(1, 0)], [(0, -2)]),
+        ]:
+            want = _same_as_tuples(ideal, b)
+            assert want[0] is ValueError
+
+    def test_degree_bound_below_and_at_the_maximum(self):
+        rng = random.Random(79)
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            ideal = [_random_vector(rng, n) for _ in range(rng.randint(1, 4))]
+            b = [_random_vector(rng, n) for _ in range(rng.randint(1, 3))]
+            top = next(d for d in range(9 * n + 1)
+                       if not isinstance(_outcome(saturation_oracle_tuples, ideal, b,
+                                                  degree_bound=d), tuple))
+            at = _same_as_tuples(ideal, b, degree_bound=top)
+            assert isinstance(at, list)
+            below = _same_as_tuples(ideal, b, degree_bound=top - 1)
+            assert below[0] is DegreeBoundError
+            assert below[1].endswith(f"exceeds bound {top - 1}")
+
+    def test_all_five_vertex_complexes_on_2_1(self):
+        shape = Shape((2, 1))
+        n = shape.num_vertices
+        b = [tuple(m >> i & 1 for i in range(n)) for m in IrrelevantIdealB(shape).generator_masks]
+        cases = [SimplicialComplex(shape, masks) for masks in antichains_nonvoid(5)]
+        cases.append(SimplicialComplex(shape, (0,)))
+        assert len(cases) == 7580
+        for d in cases:
+            gens = exponent_vectors(ideal_of(d))
+            assert saturation_oracle(gens, b) == saturation_oracle_tuples(gens, b)

@@ -32,7 +32,14 @@ from vcmkit.vres import (
     parse_polynomial,
     render_polynomial,
 )
-from helpers import cx, random_balanced
+from helpers import (
+    compose_failures_dense,
+    cx,
+    flip_one_entry,
+    koszul_presentation,
+    random_balanced,
+    random_presentation,
+)
 
 V = Vertex
 
@@ -176,6 +183,63 @@ class TestFreeComplexPresentation:
             self.shape, (1, 2, 1), (((a, b),), ((b,), (a,))))
         assert compose_failures(bad) == ((0, 0, 0),)
         assert not compose_check(bad)
+
+
+class TestComposeAgainstDense:
+    """Sparse composition against the dense sum over every product."""
+
+    def check(self, pres):
+        want = compose_failures_dense(pres)
+        assert compose_failures(pres) == want
+        return want
+
+    def test_random_sparse_matrices(self):
+        rng = random.Random(20261019)
+        reported = clean = 0
+        for entries in [(1,), (1, 1), (2, 1)]:
+            for _ in range(150):
+                failures = self.check(random_presentation(Shape(entries), rng))
+                reported += bool(failures)
+                clean += not failures
+        assert reported and clean
+
+    def test_cancellation_across_t(self):
+        shape = Shape((1,))
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        pres = FreeComplexPresentation(
+            shape, (1, 2, 2), (((x, y),), ((y, x * y), (-x, -y * x))))
+        assert self.check(pres) == ((0, 0, 1),)
+
+    def test_constant_entries(self):
+        shape = Shape((1,))
+        one, x = Polynomial.constant(2, 1), Polynomial.variable(2, 0)
+        pres = FreeComplexPresentation(
+            shape, (1, 2, 2), (((2 * one, x),), ((x, one), (-2 * one, one))))
+        assert self.check(pres) == ((0, 0, 1),)
+
+    def test_rank_zero_summand_in_the_middle(self):
+        shape = Shape((1,))
+        x = Polynomial.variable(2, 0)
+        pres = FreeComplexPresentation(
+            shape, (2, 1, 0, 2, 1), (((x,), (x,)), ((),), (), ((x,), (x,))))
+        assert self.check(pres) == ()
+
+    def test_single_matrix(self):
+        x = Polynomial.variable(2, 0)
+        assert self.check(FreeComplexPresentation(Shape((1,)), (1, 2), (((x, x),),))) == ()
+
+    def test_paper_fixtures(self, fig1, c34):
+        assert self.check(fig1.presentation) == ()
+        assert self.check(c34.presentation) == ()
+
+    def test_koszul_chains(self):
+        rng = random.Random(20261020)
+        shape = Shape((3, 3))
+        for m in (2, 3, 4, 5, 6):
+            variables = rng.sample(range(shape.num_vertices), m)
+            pres = koszul_presentation(shape, variables)
+            assert self.check(pres) == ()
+            assert self.check(flip_one_entry(pres, rng))
 
 
 class TestPaperFixtures:
