@@ -46,7 +46,11 @@ class VertexLimitError(ValueError):
     """The vertex count exceeds the configured bound for a subset sweep."""
 
 
-def _check_vertex_bound(shape: Shape, max_vertices: int) -> None:
+# Largest vertex count for which a step may walk all 2^n vertex subsets.
+MAX_SWEEP_VERTICES = 20
+
+
+def _check_vertex_bound(shape: Shape, max_vertices: int = MAX_SWEEP_VERTICES) -> None:
     """Refuse a step that walks all 2^n vertex subsets when n > max_vertices."""
     n = shape.num_vertices
     if n > max_vertices:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, _check_vertex_bound, _popcount
+from .complexes import MAX_SWEEP_VERTICES, SimplicialComplex, _check_vertex_bound, _popcount
 from .complexes import VertexLimitError  # noqa: F401  (re-exported for existing importers)
 from .linalg import CoefficientField, ExactMatrix, gf2_rank, integer_rank, rank_mod_p
 from .stanley_reisner import codim_affine
@@ -225,7 +225,7 @@ def _hochster_sweep(delta: SimplicialComplex, characteristic: int):
 
 
 def hochster_betti(delta: SimplicialComplex, field: CoefficientField,
-                   max_vertices: int = 20) -> BettiTable:
+                   max_vertices: int = MAX_SWEEP_VERTICES) -> BettiTable:
     """Betti table of the Stanley-Reisner quotient via Hochster's formula.
 
     beta_{i, sigma} is the rank of the reduced homology of the restriction
@@ -243,7 +243,7 @@ def hochster_betti(delta: SimplicialComplex, field: CoefficientField,
 
 
 def projective_dimension(delta: SimplicialComplex, field: CoefficientField,
-                         max_vertices: int = 20) -> int:
+                         max_vertices: int = MAX_SWEEP_VERTICES) -> int:
     """Length of the minimal free resolution of the Stanley-Reisner quotient."""
     _check_vertex_bound(delta.shape, max_vertices)
     if delta.is_void:
@@ -281,7 +281,7 @@ def is_cm_reisner(delta: SimplicialComplex, field: CoefficientField) -> ReisnerV
 
 
 def is_cm_pdim(delta: SimplicialComplex, field: CoefficientField,
-               max_vertices: int = 20) -> bool:
+               max_vertices: int = MAX_SWEEP_VERTICES) -> bool:
     """Cohen-Macaulay test via Auslander-Buchsbaum: pdim equals affine codim."""
     return projective_dimension(delta, field, max_vertices=max_vertices) == codim_affine(delta)
 

@@ -10,7 +10,7 @@ computes it.  `saturation_oracle` is the independent ideal-theoretic version
 used to cross-check that shortcut: it iterates the colon ideal on exponent
 vectors packed into one int each, so divisibility, colons and lcms are a few
 bit operations per pair.  `ideal_of` and `complex_of` walk all 2^n vertex
-subsets and refuse shapes past their `max_vertices` bound.
+subsets and refuse shapes with more than MAX_SWEEP_VERTICES vertices.
 """
 
 from __future__ import annotations
@@ -103,16 +103,16 @@ class IrrelevantIdealB:
         return SqfIdeal(self.shape, self.generator_masks)
 
 
-def ideal_of(delta: SimplicialComplex, max_vertices: int = 20) -> SqfIdeal:
+def ideal_of(delta: SimplicialComplex) -> SqfIdeal:
     """Stanley-Reisner ideal: generated by the minimal nonfaces of the complex.
 
     Walks the vertex subsets by size, so it refuses shapes with more than
-    `max_vertices` vertices (VertexLimitError).
+    MAX_SWEEP_VERTICES vertices (VertexLimitError).
     """
     shape = delta.shape
-    _check_vertex_bound(shape, max_vertices)
     if delta.is_void:
         return SqfIdeal(shape, (), is_unit=True)
+    _check_vertex_bound(shape)
     positions = range(shape.num_vertices)
     gens = []
     for size in range(shape.num_vertices + 1):
@@ -127,16 +127,16 @@ def ideal_of(delta: SimplicialComplex, max_vertices: int = 20) -> SqfIdeal:
     return SqfIdeal(shape, tuple(gens))
 
 
-def complex_of(ideal: SqfIdeal, max_vertices: int = 20) -> SimplicialComplex:
+def complex_of(ideal: SqfIdeal) -> SimplicialComplex:
     """Stanley-Reisner complex: faces are the subsets containing no generator.
 
     Tabulates all 2^n vertex subsets, so it refuses shapes with more than
-    `max_vertices` vertices (VertexLimitError) before allocating the table.
+    MAX_SWEEP_VERTICES vertices (VertexLimitError) before allocating the table.
     """
     shape = ideal.shape
-    _check_vertex_bound(shape, max_vertices)
     if ideal.is_unit:
         raise UnitIdealError("the unit ideal corresponds to no simplicial complex")
+    _check_vertex_bound(shape)
     n = shape.num_vertices
     gens = ideal.generator_masks
     is_face = bytearray(1 << n)

@@ -155,13 +155,13 @@ class TestVertexBound:
         with pytest.raises(VertexLimitError, match="21 vertices exceed the max_vertices=20"):
             ideal_of(full)
 
-    def test_bound_is_a_keyword(self):
-        d = cx((3,), [(1, 0), (1, 1)])  # 4 vertices
-        with pytest.raises(VertexLimitError):
-            ideal_of(d, max_vertices=3)
-        with pytest.raises(VertexLimitError):
-            complex_of(ideal_of(d), max_vertices=3)
-        assert complex_of(ideal_of(d, max_vertices=4), max_vertices=4) == d
+    def test_void_complex_is_unit_past_the_bound(self):
+        # The void complex needs no subset walk, so the bound does not apply.
+        assert ideal_of(SimplicialComplex(self.shape, ())).is_unit
+
+    def test_unit_ideal_raises_unit_error_past_the_bound(self):
+        with pytest.raises(UnitIdealError):
+            complex_of(SqfIdeal(self.shape, (), is_unit=True))
 
     def test_one_class_everywhere(self):
         assert homology.VertexLimitError is complexes.VertexLimitError is VertexLimitError
