@@ -64,6 +64,7 @@ from .stanley_reisner import (
     saturation_oracle,
 )
 from .vres import (
+    CandidateLimitError,
     FreeComplexPresentation,
     PdimEvidence,
     Polynomial,

@@ -295,8 +295,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, code = args.func(args)
-    # DocumentError, EmptyVarietyError, VertexLimitError and the UTF-8 and
-    # JSON decode errors are all ValueErrors.
+    # DocumentError, EmptyVarietyError, VertexLimitError, CandidateLimitError
+    # and the UTF-8 and JSON decode errors are all ValueErrors.
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -2,13 +2,15 @@
 
 All homology is computed from full downward-closed face sets (not facet
 lists), split into layers by face size; one routine turns layers into
-ranks.  The Reisner link sweep goes through a bounded lru_cache keyed on
-the canonical face-mask tuple, because links of different complexes in a
-search repeat.  The Hochster subset sweep does not: its restrictions are
-distinct within a sweep, so it filters pre-layered faces for each vertex
-subset, skips the subsets that are faces (their restrictions are
-simplices), and shares work only between subsets that differ in vertices
-lying in no face, through a dict dropped when the sweep ends.
+ranks.  The Reisner link test, `_link_defect`, serves `is_cm_reisner` and
+the augmentation search in `vres`; it goes through a bounded lru_cache
+keyed on the canonical face-mask tuple, because links of different
+complexes in a search repeat.  The Hochster subset sweep does not: its
+restrictions are distinct within a sweep, so it filters pre-layered faces
+for each vertex subset, skips the subsets that are faces (their
+restrictions are simplices), and shares work only between subsets that
+differ in vertices lying in no face, through a dict dropped when the sweep
+ends.
 
 Ranks are exact: GF(2) uses packed bitmask elimination, odd primes modular
 elimination, the rationals Bareiss elimination over the integers.  Over the
@@ -66,9 +68,9 @@ def _packed_boundaries(layers: list) -> dict:
     return packed
 
 
-def _boundary_rank(cols: list, rows: list, characteristic: int) -> int:
-    """Rank over GF(p), or Q for 0, of the signed boundary map from the
-    `cols` faces down to the `rows` faces."""
+def _signed_boundary(cols: list, rows: list) -> list:
+    """Dense signed boundary matrix from the `cols` faces down to the `rows`
+    faces: entry (row of f minus its i-th vertex, column of f) is (-1)^i."""
     index = {m: i for i, m in enumerate(rows)}
     matrix = [[0] * len(cols) for _ in rows]
     for j, f in enumerate(cols):
@@ -79,6 +81,13 @@ def _boundary_rank(cols: list, rows: list, characteristic: int) -> int:
             matrix[index[f ^ low]][j] = sign
             sign = -sign
             sub ^= low
+    return matrix
+
+
+def _boundary_rank(cols: list, rows: list, characteristic: int) -> int:
+    """Rank over GF(p), or Q for 0, of the signed boundary map from the
+    `cols` faces down to the `rows` faces."""
+    matrix = _signed_boundary(cols, rows)
     if characteristic == 0:
         return integer_rank(matrix)
     return rank_mod_p(matrix, characteristic)
@@ -122,10 +131,27 @@ def _ranks_from_faces(faces: tuple, characteristic: int) -> tuple:
     The Reisner sweep's cached entry point: the key is shared by every link
     with the same face set, across complexes.  Repeats come close together
     (the links of one augmentation search's unions): on the benchmark's
-    search workload 1024 entries already keep 95% of the hits an unbounded
-    cache gets, and 4096 leave room for larger complexes.
+    search workload 4096 entries keep every hit an unbounded cache gets and
+    1024 keep 98%; on its check-cm workload 1024 already keep them all.
     """
     return _ranks_from_layers(_layers(faces), characteristic)
+
+
+def _low_homology(ranks: tuple):
+    """Lowest dimension below the top one with nonzero reduced homology in
+    `ranks` ((dim, rank), ...), or None: a link fails Reisner's test iff
+    this is not None."""
+    top = ranks[-1][0]
+    for d, h in ranks:
+        if d < top and h:
+            return d
+    return None
+
+
+def _link_defect(link_faces, characteristic: int):
+    """Reisner's test on one link, given as its full face set in any order:
+    `_low_homology` of its ranks, through the cached `_ranks_from_faces`."""
+    return _low_homology(_ranks_from_faces(_canon(link_faces), characteristic))
 
 
 def reduced_homology_ranks(delta: SimplicialComplex, field: CoefficientField) -> dict:
@@ -152,17 +178,7 @@ def boundary_matrix(delta: SimplicialComplex, d: int, field: CoefficientField) -
     faces = delta.face_masks()
     cols = [m for m in faces if _popcount(m) == d + 1]
     rows = [m for m in faces if _popcount(m) == d]
-    index = {m: i for i, m in enumerate(rows)}
-    entries = [[0] * len(cols) for _ in rows]
-    for j, f in enumerate(cols):
-        sign = 1
-        sub = f
-        while sub:
-            low = sub & -sub
-            entries[index[f ^ low]][j] = sign
-            sign = -sign
-            sub ^= low
-    return ExactMatrix.from_rows(field, entries, ncols=len(cols))
+    return ExactMatrix.from_rows(field, _signed_boundary(cols, rows), ncols=len(cols))
 
 
 # -- Hochster's formula ---------------------------------------------------
@@ -271,12 +287,9 @@ def is_cm_reisner(delta: SimplicialComplex, field: CoefficientField) -> ReisnerV
     faces = delta.face_masks()
     characteristic = field.characteristic
     for sigma in faces:
-        link_faces = _canon([f & ~sigma for f in faces if f & sigma == sigma])
-        ranks = _ranks_from_faces(link_faces, characteristic)
-        link_dim = ranks[-1][0]
-        for d, h in ranks:
-            if d < link_dim and h:
-                return ReisnerVerdict(False, (delta.shape.face_from_mask(sigma), d))
+        d = _link_defect([f ^ sigma for f in faces if f & sigma == sigma], characteristic)
+        if d is not None:
+            return ReisnerVerdict(False, (delta.shape.face_from_mask(sigma), d))
     return ReisnerVerdict(True, None)
 
 

@@ -10,18 +10,37 @@ only nonzero entries, accumulating coefficient dicts per product entry), the
 two worked 6-vertex fixtures with their displayed matrix pairs, the
 exhaustive augmentation search, and the certificate containers shared with
 the CLI.
+
+The search runs Reisner's criterion incrementally.  Adding facets changes
+only the links of faces inside the added facets: if no added facet contains
+a face sigma, then every face of the union containing sigma is a face of the
+base, so the link of sigma in the union is its link in the base, face for
+face, and fails Reisner's test exactly when it fails there.  So the base
+faces whose links fail are found once per search, and a subset of
+candidates that leaves one of them uncovered fails at once, with no rank
+computed.  Every other subset needs only the test of the whole union (the
+link of the empty face) and of the links of the faces inside its added
+facets.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple
 
 from .complexes import Face, Shape, SimplicialComplex, Vertex, _popcount, format_face, union
-from .homology import is_cm_reisner, projective_dimension
+from .homology import (
+    _canon,
+    _layers,
+    _link_defect,
+    _low_homology,
+    _ranks_from_layers,
+    projective_dimension,
+)
 from .linalg import CoefficientField
 from .shelling import ShellingOrder, balanced_vcm_certificate
 from .stanley_reisner import EmptyVarietyError, codim, codim_affine, saturate_by_B
@@ -350,17 +369,35 @@ class VcmCertificate:
     evidence: object  # ShellingEvidence or PdimEvidence
 
 
+class CandidateLimitError(ValueError):
+    """Too many vertex subsets to walk for irrelevant candidate facets."""
+
+
+# Largest number of vertex subsets the candidate walk may visit: about one
+# second at the 1.8-2 us per subset measured on (14,14) and (9,9) (2 CPUs,
+# Python 3.11); shapes whose subsets are mostly irrelevant non-faces cost up
+# to 6x more per subset.
+MAX_CANDIDATE_WALK = 500_000
+
+
 def enumerate_irrelevant_candidate_facets(delta: SimplicialComplex) -> tuple:
     """Irrelevant non-faces of facet cardinality, in canonical face order.
 
     These are the only faces an augmentation may add: anything relevant
     would change the complex away from the irrelevant locus, and anything
-    of other dimension would break purity.
+    of other dimension would break purity.  The walk visits all C(n, dim+1)
+    vertex subsets, so it refuses more than MAX_CANDIDATE_WALK of them
+    before it starts.
     """
     if delta.is_void:
         raise ValueError("the void complex has no candidate facets")
     shape = delta.shape
     size = delta.dim + 1
+    walk = math.comb(shape.num_vertices, size)
+    if walk > MAX_CANDIDATE_WALK:
+        raise CandidateLimitError(
+            f"{walk} vertex subsets of size {size} exceed the candidate walk bound "
+            f"{MAX_CANDIDATE_WALK}")
     out = []
     for combo in itertools.combinations(range(shape.num_vertices), size):
         mask = 0
@@ -419,27 +456,41 @@ def augmentation_search(delta: SimplicialComplex, field: CoefficientField = DEFA
 
     Works on the saturation, tries candidate subsets by size (small first,
     canonical order within a size) against Reisner's criterion, and counts
-    every tested union toward the budget.  The empty subset goes first, so
-    an already-CM complex certifies immediately with an empty augmentation.
-    An exhausted pool proves nothing negative: it only closes this route.
+    every tested union toward the budget, which must be nonnegative.  The
+    empty subset goes first, so an already-CM complex certifies immediately
+    with an empty augmentation.  An exhausted pool proves nothing negative:
+    it only closes this route.
+
+    The unions are never built as complexes: each is a set of face masks,
+    the saturation's faces plus the submasks of the chosen candidates.  A
+    face in no chosen candidate keeps its link from the saturation (see the
+    module docstring), so a subset leaving one of the saturation's failing
+    faces uncovered fails with no rank computed.  Otherwise the whole union
+    is ranked (bypassing the rank cache, since every union is new), then
+    the links of the faces inside the chosen candidates through the cache.
+    Only the certifying subset becomes a complex, for
+    `certify_vcm_via_union`.
     """
+    if budget < 0:
+        raise ValueError(f"the budget must be nonnegative, got {budget}")
     ds = saturate_by_B(delta)
     if ds.is_void:
         raise EmptyVarietyError("every facet is irrelevant; nothing remains to certify")
     if not ds.is_pure():
         raise ValueError("the saturation is impure; no equidimensional augmentation exists")
     candidates = enumerate_irrelevant_candidate_facets(ds)
+    masks = [ds.shape.mask_of(c) for c in candidates]
+    union_test = _UnionReisner(ds, masks, field.characteristic)
     tested = 0
-    for k in range(len(candidates) + 1):
-        for subset in itertools.combinations(candidates, k):
+    for k in range(len(masks) + 1):
+        for subset in itertools.combinations(range(len(masks)), k):
             if tested >= budget:
                 return SearchOutcome(
                     BUDGET_EXCEEDED, None,
                     f"stopped after the budget of {budget} candidate subsets", tested)
             tested += 1
-            dp = SimplicialComplex.from_facets(ds.shape, subset)
-            u = union(ds, dp)
-            if is_cm_reisner(u, field).is_cm:
+            if union_test.is_cm(subset):
+                dp = SimplicialComplex(ds.shape, tuple(masks[i] for i in subset))
                 cert = certify_vcm_via_union(ds, dp, field)
                 if not cert.verdict:
                     raise AssertionError("Reisner-positive union with wrong resolution length")
@@ -450,6 +501,63 @@ def augmentation_search(delta: SimplicialComplex, field: CoefficientField = DEFA
         reason = (f"all {tested} subsets of the {len(candidates)} candidate facets "
                   "fail the Cohen-Macaulay test")
     return SearchOutcome(EXHAUSTED, None, reason, tested)
+
+
+class _UnionReisner:
+    """Reisner's criterion for the unions of a pure base complex with
+    subsets of its candidate facets, on face masks only.
+
+    Every face of the universe (the base faces and all candidate submasks)
+    maps to a bitset: bit i when candidate i contains it, and the `base`
+    bit when it is a base face.  A union is then the bitset `base` plus the
+    chosen candidates' bits, and a universe face belongs to it iff the two
+    bitsets meet.
+    """
+
+    def __init__(self, base: SimplicialComplex, candidates: list, characteristic: int):
+        self.characteristic = characteristic
+        faces = base.face_masks()
+        self.base = 1 << len(candidates)
+        holders = dict.fromkeys(faces, self.base)
+        for i, c in enumerate(candidates):
+            bit = 1 << i
+            sub = c
+            while True:
+                holders[sub] = holders.get(sub, 0) | bit
+                if not sub:
+                    break
+                sub = (sub - 1) & c
+        self.holders = holders
+        # Candidate bitsets of the nonempty base faces failing Reisner's test
+        # in the base: a union keeps such a failure unless a chosen
+        # candidate contains the face.
+        self.bad = [holders[s] & ~self.base for s in faces[1:]
+                    if _link_defect([f ^ s for f in faces if f & s == s],
+                                    characteristic) is not None]
+        self.universe = _canon(holders)
+        self.stars = {}  # face -> the universe faces containing it
+
+    def is_cm(self, subset) -> bool:
+        """Whether the base plus the candidates at these indices is CM."""
+        chosen = self.base
+        for i in subset:
+            chosen |= 1 << i
+        if not all(h & chosen for h in self.bad):
+            return False
+        holders = self.holders
+        kept = _layers([f for f in self.universe if holders[f] & chosen])
+        if _low_homology(_ranks_from_layers(kept, self.characteristic)) is not None:
+            return False
+        added = chosen ^ self.base
+        for sigma in self.universe[1:]:
+            if holders[sigma] & added:
+                star = self.stars.get(sigma)
+                if star is None:
+                    star = self.stars[sigma] = [f for f in self.universe if f & sigma == sigma]
+                link = [f ^ sigma for f in star if holders[f] & chosen]
+                if _link_defect(link, self.characteristic) is not None:
+                    return False
+        return True
 
 
 def certify_balanced(delta: SimplicialComplex,

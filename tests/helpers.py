@@ -13,18 +13,25 @@ from fractions import Fraction
 from vcmkit import (
     BettiTable,
     DegreeBoundError,
+    EmptyVarietyError,
     FreeComplexPresentation,
     Polynomial,
+    SearchOutcome,
     Shape,
     SimplicialComplex,
     Vertex,
     balanced_vcm_certificate,
+    certify_vcm_via_union,
+    enumerate_irrelevant_candidate_facets,
     irrelevant_complex,
     irrelevant_shelling_order,
+    is_cm_reisner,
+    saturate_by_B,
     union,
     verify_shelling,
 )
 from vcmkit.linalg import gf2_rank, integer_rank, rank_mod_p
+from vcmkit.vres import BUDGET_EXCEEDED, CERTIFIED, DEFAULT_FIELD, EXHAUSTED
 
 
 def cx(entries, *facets):
@@ -436,3 +443,47 @@ def random_presentation(shape, rng, max_rank=4, max_length=5, density=0.4):
         tuple(tuple(entry() for _ in range(ranks[k + 1])) for _ in range(ranks[k]))
         for k in range(len(ranks) - 1))
     return FreeComplexPresentation(shape, ranks, matrices)
+
+
+def augmentation_search_oracle(delta, field=DEFAULT_FIELD, budget=10 ** 6):
+    """The augmentation search building every union as a complex and
+    running the full `is_cm_reisner` on it, subset by subset."""
+    ds = saturate_by_B(delta)
+    if ds.is_void:
+        raise EmptyVarietyError("every facet is irrelevant; nothing remains to certify")
+    if not ds.is_pure():
+        raise ValueError("the saturation is impure; no equidimensional augmentation exists")
+    candidates = enumerate_irrelevant_candidate_facets(ds)
+    tested = 0
+    for k in range(len(candidates) + 1):
+        for subset in itertools.combinations(candidates, k):
+            if tested >= budget:
+                return SearchOutcome(
+                    BUDGET_EXCEEDED, None,
+                    f"stopped after the budget of {budget} candidate subsets", tested)
+            tested += 1
+            dp = SimplicialComplex.from_facets(ds.shape, subset)
+            u = union(ds, dp)
+            if is_cm_reisner(u, field).is_cm:
+                cert = certify_vcm_via_union(ds, dp, field)
+                if not cert.verdict:
+                    raise AssertionError("Reisner-positive union with wrong resolution length")
+                return SearchOutcome(CERTIFIED, cert, None, tested)
+    if not candidates:
+        reason = "no irrelevant candidate facets of required dimension"
+    else:
+        reason = (f"all {tested} subsets of the {len(candidates)} candidate facets "
+                  "fail the Cohen-Macaulay test")
+    return SearchOutcome(EXHAUSTED, None, reason, tested)
+
+
+def random_pure_relevant(shape, rng, size, max_facets=6):
+    """Complex of 1 to `max_facets` random relevant facets of `size` vertices
+    (repeated draws merge); `size` must be at least the component count."""
+    masks = []
+    for _ in range(rng.randint(1, max_facets)):
+        m = 0
+        while not shape.is_relevant_mask(m):
+            m = sum(1 << p for p in rng.sample(range(shape.num_vertices), size))
+        masks.append(m)
+    return SimplicialComplex(shape, tuple(masks))

@@ -253,6 +253,20 @@ class TestSearchCommand:
         assert report["status"] == "budget_exceeded"
         assert report["budget"] == 1
 
+    def test_negative_budget_exit(self, tmp_path, capsys):
+        src = write_doc(tmp_path, "pair.json", complex_document(
+            cx((1, 1), [(1, 0), (2, 0)], [(1, 1), (2, 1)])))
+        code, out, err = run(capsys, "search", src, "--budget", "-5")
+        assert code == 3 and out == ""
+        assert "budget must be nonnegative" in err
+
+    def test_candidate_walk_bound_exit(self, tmp_path, capsys):
+        facet = [(1, j) for j in range(8)] + [(2, j) for j in range(8)]
+        src = write_doc(tmp_path, "wide.json", complex_document(cx((30, 30), facet)))
+        code, out, err = run(capsys, "search", src)
+        assert code == 3 and out == ""
+        assert "candidate walk bound" in err
+
     def test_all_irrelevant_input(self, tmp_path, capsys):
         src = write_doc(tmp_path, "irr.json", complex_document(cx((1, 1), [(1, 0)])))
         code, _, err = run(capsys, "search", src)

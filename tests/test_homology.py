@@ -26,16 +26,21 @@ from vcmkit.homology import (
     _boundary_rank,
     _canon,
     _layers,
+    _link_defect,
     _ranks_from_faces,
     _ranks_from_layers,
 )
 from helpers import (
     antichains_nonvoid,
+    canon_faces,
     cx,
     euler_characteristic_reduced,
+    faces_bruteforce,
     fraction_rank,
     hochster_betti_oracle,
+    link_bruteforce,
     random_complex,
+    ranks_from_faces_oracle,
 )
 
 V = Vertex
@@ -359,6 +364,38 @@ class TestReisner:
             if d.is_void:
                 continue
             assert is_cm_reisner(d, field).is_cm == is_cm_pdim(d, field)
+
+
+class TestLinkDefect:
+    """The link test shared by `is_cm_reisner` and the augmentation search,
+    on links taken by brute force and ranked by the direct oracle."""
+
+    def expected(self, delta, sigma, characteristic):
+        link = SimplicialComplex.from_facets(delta.shape, link_bruteforce(delta, sigma))
+        ranks = ranks_from_faces_oracle(canon_faces(link.face_masks()), characteristic)
+        top = ranks[-1][0]
+        return next((d for d, h in ranks if d < top and h), None), link.face_masks()
+
+    @pytest.mark.parametrize("characteristic", [0, 2, 3])
+    def test_random_links(self, rp2, characteristic):
+        rng = random.Random(20261104 + characteristic)
+        cases = [rp2] + [random_complex(Shape((2, 2)), rng, max_facets=7) for _ in range(30)]
+        failing = 0
+        for delta in cases:
+            if delta.is_void:
+                continue
+            for sigma in faces_bruteforce(delta):
+                want, link_faces = self.expected(delta, sigma, characteristic)
+                shuffled = list(link_faces)
+                rng.shuffle(shuffled)
+                assert _link_defect(shuffled, characteristic) == want
+                failing += want is not None
+        assert failing
+
+    def test_rp2_fails_only_over_gf2(self, rp2):
+        faces = rp2.face_masks()
+        assert _link_defect(faces, 2) == 1
+        assert _link_defect(faces, 3) is None and _link_defect(faces, 0) is None
 
 
 class TestCmPdim:

@@ -4,6 +4,7 @@ import pytest
 
 from vcmkit import (
     QQ,
+    CandidateLimitError,
     EmptyVarietyError,
     FreeComplexPresentation,
     GF,
@@ -19,6 +20,7 @@ from vcmkit import (
     enumerate_irrelevant_candidate_facets,
     irrelevant_complex,
     paper_fixture,
+    saturate_by_B,
     union,
     verify_shelling,
 )
@@ -32,13 +34,16 @@ from vcmkit.vres import (
     parse_polynomial,
     render_polynomial,
 )
+from vcmkit import vres
 from helpers import (
+    augmentation_search_oracle,
     compose_failures_dense,
     cx,
     flip_one_entry,
     koszul_presentation,
     random_balanced,
     random_presentation,
+    random_pure_relevant,
 )
 
 V = Vertex
@@ -294,6 +299,20 @@ class TestCandidateFacets:
             enumerate_irrelevant_candidate_facets(
                 SimplicialComplex.from_facets(Shape((1, 1)), []))
 
+    def test_walk_bound_checked_before_the_walk(self, monkeypatch):
+        shape = Shape((30, 30))
+        facet = [V(1, j) for j in range(8)] + [V(2, j) for j in range(8)]
+        d = SimplicialComplex.from_facets(shape, [facet])
+
+        def no_walk(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(vres.itertools, "combinations", no_walk)
+        with pytest.raises(CandidateLimitError, match="candidate walk bound"):
+            enumerate_irrelevant_candidate_facets(d)
+        with pytest.raises(CandidateLimitError):
+            augmentation_search(d)
+
 
 class TestCertifyViaUnion:
     def test_counterexample_plain_union_fails(self, c34):
@@ -381,6 +400,91 @@ class TestAugmentationSearch:
         d = cx((2, 2), [(1, 0), (1, 1), (2, 0), (2, 1)], [(1, 2), (2, 2)])
         with pytest.raises(ValueError, match="impure"):
             augmentation_search(d)
+
+    def test_negative_budget_rejected_before_any_work(self):
+        with pytest.raises(ValueError, match="budget must be nonnegative, got -5"):
+            augmentation_search(self.disjoint_edges(), budget=-5)
+        # an all-irrelevant input would fail later, in the saturation
+        with pytest.raises(ValueError, match="budget") as info:
+            augmentation_search(cx((1, 1), [(1, 0)]), budget=-1)
+        assert not isinstance(info.value, EmptyVarietyError)
+
+    def test_zero_budget_tests_nothing(self):
+        out = augmentation_search(self.disjoint_edges(), budget=0)
+        assert out.status == BUDGET_EXCEEDED and out.subsets_tested == 0
+        assert out.reason == "stopped after the budget of 0 candidate subsets"
+
+
+FIELDS = [GF(2), GF(3), QQ]
+
+
+class TestSearchAgainstOracle:
+    """The bitmask search against the search that builds every union as a
+    complex and runs the full Reisner test on it."""
+
+    def check(self, delta, field, budget=10 ** 6):
+        want = augmentation_search_oracle(delta, field, budget)
+        assert augmentation_search(delta, field, budget) == want
+        return want
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_random_pure_relevant(self, field):
+        rng = random.Random(20261101)
+        outcomes = []
+        for entries in [(1, 1), (2, 1), (1, 1, 1), (1, 1, 2)]:
+            shape = Shape(entries)
+            for size in range(shape.r, shape.num_vertices):
+                for _ in range(5):
+                    d = random_pure_relevant(shape, rng, size, max_facets=8)
+                    outcomes.append(self.check(d, field, budget=150))
+        assert {out.status for out in outcomes} == {CERTIFIED, EXHAUSTED, BUDGET_EXCEEDED}
+        assert any(out.certificate and out.certificate.delta_prime.facet_masks
+                   for out in outcomes)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_budgets_around_the_certifying_subset(self, field):
+        rng = random.Random(20261102)
+        shape = Shape((1, 1, 2))
+        found = 0
+        for _ in range(40):
+            d = random_pure_relevant(shape, rng, 4)
+            out = augmentation_search_oracle(d, field, budget=150)
+            if out.status != CERTIFIED or out.subsets_tested < 3:
+                continue
+            k = out.subsets_tested
+            for budget in (0, 1, k - 1, k):
+                self.check(d, field, budget)
+            found += 1
+            if found == 2:
+                break
+        else:
+            pytest.fail("fewer than two seeded inputs certify after two subsets")
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_two_pinch_points(self, field):
+        # x_1_0 and x_2_1 each have a disconnected link, so a CM union needs
+        # added facets through both of them.
+        d = cx((1, 1, 2), [(1, 0), (2, 0), (3, 0)], [(1, 0), (2, 1), (3, 1)],
+               [(1, 1), (2, 1), (3, 2)])
+        out = self.check(d, field)
+        assert out.status == CERTIFIED and out.subsets_tested == 25
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_paper_fixtures(self, field, fig1, c34):
+        assert self.check(fig1.complex, field).status == EXHAUSTED
+        assert self.check(c34.complex, field).status == EXHAUSTED
+
+    def test_many_candidates_under_a_budget(self):
+        rng = random.Random(20261103)
+        shape = Shape((2, 2, 2))
+        for _ in range(20):
+            d = random_pure_relevant(shape, rng, 3, max_facets=10)
+            if len(enumerate_irrelevant_candidate_facets(saturate_by_B(d))) <= 50:
+                continue
+            if self.check(d, GF(2), budget=300).status == BUDGET_EXCEEDED:
+                break
+        else:
+            pytest.fail("no seeded input ran into the budget")
 
 
 class TestCertifyBalanced:
