@@ -17,7 +17,6 @@ from .homology import (
     BettiTable,
     ReisnerVerdict,
     VertexLimitError,
-    boundary_matrix,
     has_field_dependent_homology,
     hochster_betti,
     is_cm_pdim,
@@ -29,22 +28,16 @@ from .linalg import (
     GF,
     QQ,
     CoefficientField,
-    ExactMatrix,
     field_label,
     gf2_rank,
     integer_rank,
     parse_field,
     rank_mod_p,
-    rational_rank,
 )
 from .shelling import (
     BalancedCertificate,
-    FacetKey,
-    PairKey,
     ShellingCheck,
     balanced_vcm_certificate,
-    compare_facets,
-    compare_pairs,
     irrelevant_complex,
     irrelevant_shelling_order,
     verify_shelling,

@@ -71,15 +71,17 @@ def _human_lines(obj, prefix=""):
 
 
 def _emit(report, args):
-    if getattr(args, "json", True):
-        sys.stdout.write(_dump(report))
+    """Write the report to stdout and, if asked, to --out, serialised once."""
+    out = getattr(args, "out", None) if args.command != "fixtures" else None
+    text = _dump(report) if args.json or out else None
+    if args.json:
+        sys.stdout.write(text)
     else:
         for line in _human_lines(report):
             print(line)
-    out = getattr(args, "out", None)
-    if out and getattr(args, "command", None) != "fixtures":
+    if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(_dump(report))
+            handle.write(text)
 
 
 def _witness_json(witness):

@@ -43,19 +43,19 @@ class FaceNotInComplexError(ValueError):
 
 
 class VertexLimitError(ValueError):
-    """The vertex count exceeds the configured bound for a subset sweep."""
+    """The vertex count exceeds MAX_SWEEP_VERTICES, the bound for a subset sweep."""
 
 
 # Largest vertex count for which a step may walk all 2^n vertex subsets.
 MAX_SWEEP_VERTICES = 20
 
 
-def _check_vertex_bound(shape: Shape, max_vertices: int = MAX_SWEEP_VERTICES) -> None:
-    """Refuse a step that walks all 2^n vertex subsets when n > max_vertices."""
+def _check_vertex_bound(shape: Shape) -> None:
+    """Refuse a step that walks all 2^n vertex subsets when n > MAX_SWEEP_VERTICES."""
     n = shape.num_vertices
-    if n > max_vertices:
+    if n > MAX_SWEEP_VERTICES:
         raise VertexLimitError(
-            f"{n} vertices exceed the max_vertices={max_vertices} subset sweep bound")
+            f"{n} vertices exceed the max_vertices={MAX_SWEEP_VERTICES} subset sweep bound")
 
 
 def format_face(face: Iterable[Vertex]) -> str:

@@ -12,8 +12,10 @@ restrictions are simplices), and shares work only between subsets that
 differ in vertices lying in no face, through a dict dropped when the sweep
 ends.
 
-Ranks are exact: GF(2) uses packed bitmask elimination, odd primes modular
-elimination, the rationals Bareiss elimination over the integers.  Over the
+Ranks are exact: GF(2) uses packed bitmask elimination on the columns of
+`_packed_boundaries`, odd primes modular elimination and the rationals
+Bareiss elimination over the integers, both on the dense signed matrices of
+`_signed_boundary`, the one dense boundary builder.  Over the
 rationals the GF(2) ranks come first and certify most boundaries: an
 integer matrix has rank over Q at least its rank mod 2, and since the
 boundary of a boundary is zero, rank_Q(d_s) is at most rank_2(d_s) plus
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .complexes import MAX_SWEEP_VERTICES, SimplicialComplex, _check_vertex_bound, _popcount
+from .complexes import SimplicialComplex, _check_vertex_bound, _popcount
 from .complexes import VertexLimitError  # noqa: F401  (re-exported for existing importers)
-from .linalg import CoefficientField, ExactMatrix, gf2_rank, integer_rank, rank_mod_p
+from .linalg import CoefficientField, gf2_rank, integer_rank, rank_mod_p
 from .stanley_reisner import codim_affine
 
 
@@ -165,22 +167,6 @@ def reduced_homology_ranks(delta: SimplicialComplex, field: CoefficientField) ->
     return dict(_ranks_from_layers(_layers(_canon(delta.face_masks())), field.characteristic))
 
 
-def boundary_matrix(delta: SimplicialComplex, d: int, field: CoefficientField) -> ExactMatrix:
-    """Matrix of the reduced boundary map from d-faces to (d-1)-faces.
-
-    Rows and columns follow the canonical face order; the allowed range is
-    -1 <= d <= dim + 1, covering both zero maps at the ends.
-    """
-    if delta.is_void:
-        raise ValueError("the void complex has no chain groups")
-    if not -1 <= d <= delta.dim + 1:
-        raise ValueError(f"no boundary map in degree {d} for a {delta.dim}-complex")
-    faces = delta.face_masks()
-    cols = [m for m in faces if _popcount(m) == d + 1]
-    rows = [m for m in faces if _popcount(m) == d]
-    return ExactMatrix.from_rows(field, _signed_boundary(cols, rows), ncols=len(cols))
-
-
 # -- Hochster's formula ---------------------------------------------------
 
 
@@ -240,15 +226,14 @@ def _hochster_sweep(delta: SimplicialComplex, characteristic: int):
                 yield size - 1 - d, sigma, h
 
 
-def hochster_betti(delta: SimplicialComplex, field: CoefficientField,
-                   max_vertices: int = MAX_SWEEP_VERTICES) -> BettiTable:
+def hochster_betti(delta: SimplicialComplex, field: CoefficientField) -> BettiTable:
     """Betti table of the Stanley-Reisner quotient via Hochster's formula.
 
     beta_{i, sigma} is the rank of the reduced homology of the restriction
     to sigma in dimension |sigma| - i - 1; the sweep walks all vertex
-    subsets, so it refuses shapes with more than `max_vertices` vertices.
+    subsets, so it refuses shapes with more than `MAX_SWEEP_VERTICES` vertices.
     """
-    _check_vertex_bound(delta.shape, max_vertices)
+    _check_vertex_bound(delta.shape)
     if delta.is_void:
         return BettiTable({})
     shape = delta.shape
@@ -258,10 +243,9 @@ def hochster_betti(delta: SimplicialComplex, field: CoefficientField,
     })
 
 
-def projective_dimension(delta: SimplicialComplex, field: CoefficientField,
-                         max_vertices: int = MAX_SWEEP_VERTICES) -> int:
+def projective_dimension(delta: SimplicialComplex, field: CoefficientField) -> int:
     """Length of the minimal free resolution of the Stanley-Reisner quotient."""
-    _check_vertex_bound(delta.shape, max_vertices)
+    _check_vertex_bound(delta.shape)
     if delta.is_void:
         raise ValueError("the void complex presents the zero module; no projective dimension")
     return max(i for i, _, _ in _hochster_sweep(delta, field.characteristic))
@@ -293,10 +277,9 @@ def is_cm_reisner(delta: SimplicialComplex, field: CoefficientField) -> ReisnerV
     return ReisnerVerdict(True, None)
 
 
-def is_cm_pdim(delta: SimplicialComplex, field: CoefficientField,
-               max_vertices: int = MAX_SWEEP_VERTICES) -> bool:
+def is_cm_pdim(delta: SimplicialComplex, field: CoefficientField) -> bool:
     """Cohen-Macaulay test via Auslander-Buchsbaum: pdim equals affine codim."""
-    return projective_dimension(delta, field, max_vertices=max_vertices) == codim_affine(delta)
+    return projective_dimension(delta, field) == codim_affine(delta)
 
 
 def has_field_dependent_homology(delta: SimplicialComplex, primes=(2, 3)) -> bool:

@@ -1,18 +1,15 @@
 """Exact linear algebra over GF(p) and the rationals.
 
-Three rank routines, each tuned to its coefficient domain: GF(2) elimination
-on rows packed into Python integers (XOR is the whole row operation),
-straightforward modular elimination for odd primes, and Bareiss fraction-free
-elimination for integer matrices so rational ranks never touch floating
-point.  `ExactMatrix` is a thin immutable wrapper used where whole matrices
-travel between modules; the homology code calls the raw rank routines.
+One rank routine per coefficient domain: GF(2) elimination on rows packed
+into Python integers (XOR is the whole row operation), straightforward
+modular elimination for odd primes, and Bareiss fraction-free elimination
+for integer matrices, so rational ranks never touch floating point.  The
+homology code calls them on boundary matrices, whose entries are 0 and +-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 _MAX_CHARACTERISTIC = 1 << 31
@@ -160,84 +157,3 @@ def integer_rank(rows: Sequence) -> int:
         prev = prow[col]
         rank += 1
     return rank
-
-
-def rational_rank(rows: Sequence) -> int:
-    """Rank of a matrix with int/Fraction entries: clear denominators, Bareiss."""
-    cleared = []
-    for row in rows:
-        denom = lcm(*(Fraction(e).denominator for e in row)) if row else 1
-        cleared.append([int(Fraction(e) * denom) for e in row])
-    return integer_rank(cleared)
-
-
-def _pack_mod2(rows: Sequence) -> list:
-    packed = []
-    for row in rows:
-        m = 0
-        for j, e in enumerate(row):
-            if int(e) % 2:
-                m |= 1 << j
-        packed.append(m)
-    return packed
-
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Immutable matrix with entries normalised to its coefficient field."""
-
-    field: CoefficientField
-    rows: tuple  # tuple of row tuples
-    ncols: int
-
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise ValueError("ragged rows")
-
-    @classmethod
-    def from_rows(cls, field: CoefficientField, rows, ncols: int = None) -> "ExactMatrix":
-        rows = [list(r) for r in rows]
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        if field.is_rationals:
-            norm = tuple(tuple(e if isinstance(e, int) else Fraction(e) for e in r) for r in rows)
-        else:
-            p = field.characteristic
-            norm = tuple(tuple(int(e) % p for e in r) for r in rows)
-        return cls(field, norm, ncols)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def rank(self) -> int:
-        if not self.rows or self.ncols == 0:
-            return 0
-        if self.field.is_rationals:
-            return rational_rank(self.rows)
-        if self.field.characteristic == 2:
-            return gf2_rank(_pack_mod2(self.rows))
-        return rank_mod_p(self.rows, self.field.characteristic)
-
-    def nullity(self) -> int:
-        return self.ncols - self.rank()
-
-    def is_zero(self) -> bool:
-        return all(not e for row in self.rows for e in row)
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.field != other.field:
-            raise ValueError("cannot multiply matrices over different fields")
-        if self.ncols != other.nrows:
-            raise ValueError(
-                f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        p = self.field.characteristic
-        out = []
-        for row in self.rows:
-            new_row = []
-            for j in range(other.ncols):
-                acc = sum(row[k] * other.rows[k][j] for k in range(self.ncols))
-                new_row.append(acc % p if p else acc)
-            out.append(tuple(new_row))
-        return ExactMatrix(self.field, tuple(out), other.ncols)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .complexes import (
     Face,
@@ -25,70 +25,6 @@ from .complexes import (
 )
 
 ShellingOrder = tuple  # of Face
-
-
-class PairKey(NamedTuple):
-    """Ordered same-component vertex pair (x_{c,low}, x_{c,high}), low < high."""
-
-    component: int
-    low: int
-    high: int
-
-
-class FacetKey(NamedTuple):
-    """Facet of a one-pair block: the pair plus one index per remaining component.
-
-    `excluded` is the component the block avoids entirely; `rest` lists the
-    chosen indices of the other components in increasing component order.
-    """
-
-    excluded: int
-    pair: PairKey
-    rest: tuple
-
-
-def compare_pairs(a: PairKey, b: PairKey) -> int:
-    """Total order on pairs: by component, then (low, high) lexicographically."""
-    ka, kb = (a.component, a.low, a.high), (b.component, b.low, b.high)
-    return (ka > kb) - (ka < kb)
-
-
-def compare_facets(a: FacetKey, b: FacetKey) -> int:
-    """Total order within one block: rest tuple lexicographically, then pair."""
-    if a.excluded != b.excluded:
-        raise ValueError(
-            f"facet keys from different blocks (excluded {a.excluded} vs {b.excluded})")
-    if a.rest != b.rest:
-        return -1 if a.rest < b.rest else 1
-    return compare_pairs(a.pair, b.pair)
-
-
-def facet_key(face, shape: Shape, excluded: int) -> FacetKey:
-    """Classify a block facet: exactly one doubled component, `excluded` empty."""
-    by_comp = {}
-    for v in face:
-        v = Vertex(*v)
-        by_comp.setdefault(v.component, []).append(v.index)
-    if excluded in by_comp:
-        raise ValueError(f"face touches the excluded component {excluded}")
-    doubled = [c for c, idxs in by_comp.items() if len(idxs) == 2]
-    if len(doubled) != 1 or any(len(i) > 2 for i in by_comp.values()):
-        raise ValueError(f"{format_face(face)} is not a one-pair facet")
-    c = doubled[0]
-    lo, hi = sorted(by_comp[c])
-    expected = set(range(1, shape.r + 1)) - {excluded, c}
-    if set(by_comp) - {c} != expected:
-        raise ValueError(f"{format_face(face)} does not cover the block components")
-    rest = tuple(by_comp[t][0] for t in sorted(expected))
-    return FacetKey(excluded, PairKey(c, lo, hi), rest)
-
-
-def face_from_key(key: FacetKey, shape: Shape) -> Face:
-    vertices = [Vertex(key.pair.component, key.pair.low),
-                Vertex(key.pair.component, key.pair.high)]
-    others = sorted(set(range(1, shape.r + 1)) - {key.excluded, key.pair.component})
-    vertices.extend(Vertex(c, j) for c, j in zip(others, key.rest))
-    return frozenset(vertices)
 
 
 # -- shelling verification ------------------------------------------------
@@ -144,6 +80,31 @@ def verify_shelling(delta: SimplicialComplex, order: Sequence) -> ShellingCheck:
 # -- the irrelevant complex and its shelling ------------------------------
 
 
+def _component_bits(shape: Shape) -> list:
+    """bits[c - 1][j] is the mask of vertex x_{c,j}."""
+    offsets = shape._offsets
+    return [[1 << (offsets[i] + j) for j in range(n + 1)] for i, n in enumerate(shape.entries)]
+
+
+def _one_pair_block(bits: list, excluded: int) -> Iterator[tuple]:
+    """The irrelevant facets missing component `excluded`, as
+    (rest, component, low, high, mask) tuples: the facet doubles `component`
+    at indices low < high and picks index rest[i] in the i-th other
+    component, in increasing component order.  `bits` is laid out as by
+    `_component_bits`."""
+    for c, comp in enumerate(bits, 1):
+        if c == excluded:
+            continue
+        others = [t for k, t in enumerate(bits, 1) if k not in (c, excluded)]
+        for low, high in itertools.combinations(range(len(comp)), 2):
+            pair = comp[low] | comp[high]
+            for rest in itertools.product(*(range(len(t)) for t in others)):
+                m = pair
+                for t, j in zip(others, rest):
+                    m |= t[j]
+                yield rest, c, low, high, m
+
+
 def irrelevant_complex(shape: Shape) -> SimplicialComplex:
     """All size-r faces with exactly one same-component vertex pair.
 
@@ -151,24 +112,23 @@ def irrelevant_complex(shape: Shape) -> SimplicialComplex:
     single vertex everywhere else.  With one component there is nothing to
     double and miss at once: the complex is void.
     """
-    masks = []
-    offsets = shape._offsets
-    for c, n in enumerate(shape.entries, 1):
-        if n == 0:
-            continue
-        for a, b in itertools.combinations(range(n + 1), 2):
-            pair_mask = (1 << (offsets[c - 1] + a)) | (1 << (offsets[c - 1] + b))
-            for z in range(1, shape.r + 1):
-                if z == c:
-                    continue
-                others = [t for t in range(1, shape.r + 1) if t not in (c, z)]
-                choices = [range(shape.entries[t - 1] + 1) for t in others]
-                for picks in itertools.product(*choices):
-                    m = pair_mask
-                    for t, j in zip(others, picks):
-                        m |= 1 << (offsets[t - 1] + j)
-                    masks.append(m)
-    return SimplicialComplex(shape, tuple(masks))
+    bits = _component_bits(shape)
+    return SimplicialComplex(shape, tuple(
+        f[-1] for z in range(1, shape.r + 1) for f in _one_pair_block(bits, z)))
+
+
+def _shelling_masks(shape: Shape, base_mask: int) -> list:
+    """Masks of `irrelevant_shelling_order` for a zero-free shape and a
+    balanced base: the base, then the one-pair blocks."""
+    # Swap index 0 with the base facet's index in each component.
+    bits = _component_bits(shape)
+    for comp, cm in zip(bits, shape.component_masks):
+        j = comp.index(base_mask & cm)
+        comp[0], comp[j] = comp[j], comp[0]
+    order = [base_mask]
+    for k in range(shape.r, 0, -1):
+        order.extend(f[-1] for f in sorted(_one_pair_block(bits, k)))
+    return order
 
 
 def irrelevant_shelling_order(shape: Shape, base) -> ShellingOrder:
@@ -176,7 +136,8 @@ def irrelevant_shelling_order(shape: Shape, base) -> ShellingOrder:
 
     The base facet comes first; after it the one-pair facets are grouped by
     excluded component, from the last component down to the first, each
-    block sorted by compare_facets.  Vertices are relabelled internally so
+    block sorted by (rest, component, low, high): the indices picked in the
+    other components, then the pair.  Indices are relabelled internally so
     the base facet plays the all-zeroes role, and relabelled back on output.
     """
     if any(n == 0 for n in shape.entries):
@@ -184,39 +145,7 @@ def irrelevant_shelling_order(shape: Shape, base) -> ShellingOrder:
     base_mask = shape.mask_of(base)
     if any(_popcount(base_mask & cm) != 1 for cm in shape.component_masks):
         raise ValueError(f"base facet {format_face(base)} is not balanced")
-    offsets = shape._offsets
-    # Per-component swap 0 <-> (index used by the base facet).
-    swap = []
-    for c, n in enumerate(shape.entries, 1):
-        comp_bits = base_mask & shape.component_masks[c - 1]
-        j = comp_bits.bit_length() - 1 - offsets[c - 1]
-        mapping = list(range(n + 1))
-        mapping[0], mapping[j] = mapping[j], mapping[0]
-        swap.append(mapping)
-
-    def actual_bit(comp: int, std_index: int) -> int:
-        return 1 << (offsets[comp - 1] + swap[comp - 1][std_index])
-
-    order = [base_mask]
-    for k in range(shape.r, 0, -1):
-        keys = []
-        for i in range(1, shape.r + 1):
-            if i == k:
-                continue
-            others = [t for t in range(1, shape.r + 1) if t not in (i, k)]
-            for a, b in itertools.combinations(range(shape.entries[i - 1] + 1), 2):
-                choices = [range(shape.entries[t - 1] + 1) for t in others]
-                for picks in itertools.product(*choices):
-                    keys.append(FacetKey(k, PairKey(i, a, b), picks))
-        keys.sort(key=lambda key: (key.rest, key.pair))
-        for key in keys:
-            m = actual_bit(key.pair.component, key.pair.low)
-            m |= actual_bit(key.pair.component, key.pair.high)
-            others = sorted(set(range(1, shape.r + 1)) - {key.excluded, key.pair.component})
-            for t, j in zip(others, key.rest):
-                m |= actual_bit(t, j)
-            order.append(m)
-    return tuple(shape.face_from_mask(m) for m in order)
+    return tuple(shape.face_from_mask(m) for m in _shelling_masks(shape, base_mask))
 
 
 # -- the balanced pipeline ------------------------------------------------
@@ -232,10 +161,10 @@ class BalancedCertificate:
 
 def _zero_free_certificate(delta: SimplicialComplex) -> BalancedCertificate:
     shape = delta.shape
-    base = delta.facets[0]
-    order = list(irrelevant_shelling_order(shape, base))
-    order.extend(f for f in delta.facets if f != base)
-    return BalancedCertificate(irrelevant_complex(shape), tuple(order))
+    order = _shelling_masks(shape, delta.facet_masks[0])
+    delta_prime = SimplicialComplex(shape, tuple(order[1:]))
+    order.extend(delta.facet_masks[1:])
+    return BalancedCertificate(delta_prime, tuple(shape.face_from_mask(m) for m in order))
 
 
 def balanced_vcm_certificate(delta: SimplicialComplex) -> BalancedCertificate:

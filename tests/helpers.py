@@ -9,6 +9,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 from vcmkit import (
     BettiTable,
@@ -30,6 +31,7 @@ from vcmkit import (
     union,
     verify_shelling,
 )
+from vcmkit.complexes import format_face
 from vcmkit.linalg import gf2_rank, integer_rank, rank_mod_p
 from vcmkit.vres import BUDGET_EXCEEDED, CERTIFIED, DEFAULT_FIELD, EXHAUSTED
 
@@ -242,6 +244,71 @@ def desk_scale_cases():
             order = irrelevant_shelling_order(shape, base)
             target = union(irr, SimplicialComplex.from_facets(shape, [base]))
             yield target, order
+
+
+class PairKey(NamedTuple):
+    """Ordered same-component vertex pair (x_{c,low}, x_{c,high}), low < high."""
+
+    component: int
+    low: int
+    high: int
+
+
+class FacetKey(NamedTuple):
+    """Facet of a one-pair block: the pair plus one index per remaining component.
+
+    `excluded` is the component the block avoids entirely; `rest` lists the
+    chosen indices of the other components in increasing component order.
+    """
+
+    excluded: int
+    pair: PairKey
+    rest: tuple
+
+
+def compare_pairs(a, b):
+    """Total order on pairs: by component, then (low, high) lexicographically."""
+    ka, kb = (a.component, a.low, a.high), (b.component, b.low, b.high)
+    return (ka > kb) - (ka < kb)
+
+
+def compare_facets(a, b):
+    """The within-block order of the irrelevant shelling, as a comparator:
+    rest tuple lexicographically, then pair."""
+    if a.excluded != b.excluded:
+        raise ValueError(
+            f"facet keys from different blocks (excluded {a.excluded} vs {b.excluded})")
+    if a.rest != b.rest:
+        return -1 if a.rest < b.rest else 1
+    return compare_pairs(a.pair, b.pair)
+
+
+def facet_key(face, shape, excluded):
+    """Classify a block facet: exactly one doubled component, `excluded` empty."""
+    by_comp = {}
+    for v in face:
+        v = Vertex(*v)
+        by_comp.setdefault(v.component, []).append(v.index)
+    if excluded in by_comp:
+        raise ValueError(f"face touches the excluded component {excluded}")
+    doubled = [c for c, idxs in by_comp.items() if len(idxs) == 2]
+    if len(doubled) != 1 or any(len(i) > 2 for i in by_comp.values()):
+        raise ValueError(f"{format_face(face)} is not a one-pair facet")
+    c = doubled[0]
+    lo, hi = sorted(by_comp[c])
+    expected = set(range(1, shape.r + 1)) - {excluded, c}
+    if set(by_comp) - {c} != expected:
+        raise ValueError(f"{format_face(face)} does not cover the block components")
+    rest = tuple(by_comp[t][0] for t in sorted(expected))
+    return FacetKey(excluded, PairKey(c, lo, hi), rest)
+
+
+def face_from_key(key, shape):
+    vertices = [Vertex(key.pair.component, key.pair.low),
+                Vertex(key.pair.component, key.pair.high)]
+    others = sorted(set(range(1, shape.r + 1)) - {key.excluded, key.pair.component})
+    vertices.extend(Vertex(c, j) for c, j in zip(others, key.rest))
+    return frozenset(vertices)
 
 
 RANDOM_CERTIFICATE_SHAPES = ((1, 1), (2, 1), (2, 2), (1, 1, 1), (1, 0), (2, 0, 1))

@@ -313,3 +313,94 @@ class TestVerifyComplexCommand:
         path.write_text('{"shape": [1], "ranks": [1, 1], "matrices": [[["y"]]]}')
         code, _, err = run(capsys, "verify-complex", str(path))
         assert code == 3 and "matrices[0][0][0]" in err
+
+
+# -- golden output --------------------------------------------------------
+#
+# SHA-256 of each run's exit code, stdout bytes and --out bytes (stderr
+# carries only the timing line and is left out), so a change that alters
+# any report byte or exit code on these runs fails here.
+
+def _seeded_balanced(entries, count, seed):
+    shape = Shape(entries)
+    rng = random.Random(seed)
+    return SimplicialComplex(shape, tuple(rng.sample(shape.balanced_masks(), count)))
+
+
+GOLDEN_DOCUMENTS = {
+    "balanced_221": lambda: complex_document(_seeded_balanced((2, 2, 1), 7, 20261018)),
+    "balanced_202": lambda: complex_document(_seeded_balanced((2, 0, 2), 5, 20261019)),
+    "pair": lambda: complex_document(cx((1, 1), [(1, 0), (2, 0)], [(1, 1), (2, 1)])),
+}
+
+GOLDEN_RUNS = {
+    "info fig1": (["info", "{fig1}"], None),
+    "info fig1 plain": (["info", "{fig1}", "--no-json"], None),
+    "info c34": (["info", "{counterexample34}"], None),
+    "info c34 plain": (["info", "{counterexample34}", "--no-json"], None),
+    "check-cm fig1 GF(2)": (["check-cm", "{fig1}", "--field", "2"], None),
+    "check-cm fig1 GF(3)": (["check-cm", "{fig1}", "--field", "3"], None),
+    "check-cm fig1 Q": (["check-cm", "{fig1}", "--field", "Q"], None),
+    "check-cm c34 GF(2)": (["check-cm", "{counterexample34}", "--field", "2"], None),
+    "check-cm c34 GF(3)": (["check-cm", "{counterexample34}", "--field", "3"], None),
+    "check-cm c34 Q": (["check-cm", "{counterexample34}", "--field", "Q"], None),
+    "search fig1": (["search", "{fig1}"], None),
+    "search c34": (["search", "{counterexample34}"], None),
+    "search pair": (["search", "{pair}", "--out", "{out}"], "search_pair"),
+    "search pair recheck": (["search", "--recheck", "{search_pair}"], None),
+    "verify-complex fig1": (["verify-complex", "{fig1_matrices}"], None),
+    "verify-complex c34": (["verify-complex", "{counterexample34_matrices}"], None),
+    "certify (2,2,1)": (["certify-balanced", "{balanced_221}", "--out", "{out}"],
+                        "cert_221"),
+    "certify (2,2,1) recheck": (["certify-balanced", "--recheck", "{cert_221}"], None),
+    "certify (2,0,2)": (["certify-balanced", "{balanced_202}", "--field", "3",
+                         "--out", "{out}"], "cert_202"),
+    "certify (2,0,2) recheck": (["certify-balanced", "--recheck", "{cert_202}"], None),
+}
+
+GOLDEN_DIGESTS = {
+    'info fig1': '24a724a7d2383ad1390c8dee6c49bbf152a63c3f8cf5fdf0d707f6008b1d22ae',
+    'info fig1 plain': 'bc38eaff05a1104024744cfaf95c60a41638a256e664ac8c89a92a93333efbab',
+    'info c34': '3271e7a25af29a92eef2e0dccc5ba9d328b5787530c2462bb4a9863f8f4bcdd4',
+    'info c34 plain': 'b61c09f42a78e4e8f8cea27d79592390cb4eae2b528caa7eb681913273ac493c',
+    'check-cm fig1 GF(2)': '94794d9605a14c61fe7ed97c900cd2547acce58b6803c8f4e5d6393c32366a7c',
+    'check-cm fig1 GF(3)': '33e2a103c6758c65e4d6c0a1c0e9a0418f5f8866a0246f5a57a2b185f6090408',
+    'check-cm fig1 Q': '3de50e85ab424186b76aa0ee79441774a6bcabe9560241aa27b5b1131605f5f6',
+    'check-cm c34 GF(2)': 'a88c6e607d2d04f2d0a233c6f1964d3fae098550611d07d6678bc9df7646239e',
+    'check-cm c34 GF(3)': '7eefd129a95d3b6b8b218fe4cd67b65d32a53c9abbf3d9f6653bd435ac435dab',
+    'check-cm c34 Q': '09a7e18075fe84dc47f5a72f878d33418ee81e62728b5179d55297cd170db824',
+    'search fig1': '836b87801dbe682a91cbd7412cb0ae1eb1e0f8444416aeabbb6a8e12cde92ef9',
+    'search c34': '14dd9586ea3549dcd19497ffd62d4db0a490c7185dce1781f3e49a1c5cfbff50',
+    'search pair': 'c2af73d0dec564f278d03e0ddea72e6012693bf43191218434dab1158449e772',
+    'search pair recheck': 'c72e3e892bd5baabe88ba0d7d7c5656e2e1fb2662e2e159b93fb3ed645cad61f',
+    'verify-complex fig1': '1a3db41a700b2a25d72817cff0ce2f715af97770b1223515e88c9050a8a87d5b',
+    'verify-complex c34': 'bdb5535775c71e60eb0f8deb5d448de4c1787fd012a4a99ef56c6c4c52d99f8e',
+    'certify (2,2,1)': '28926becd4c20eab858222ca7cdf4595a434cfd0c4161ae152343021c0045977',
+    'certify (2,2,1) recheck': '0e606d96763253aceffd2763c3a923cf8babdf89c53beff61f46408698e2058a',
+    'certify (2,0,2)': 'e7d9252647c458061830bae566fd9f48ba40dfd9ae4d19d8bcff2cd3caf9bddf',
+    'certify (2,0,2) recheck': '4242bd6f105cb25f1283b91da65386eba8a322e8d1de9174aaca581c47eb8a07',
+}
+
+
+def test_golden_output(tmp_path, capsys):
+    paths = {}
+    for name in ("fig1", "counterexample34"):
+        assert main(["fixtures", name, "--out", str(tmp_path)]) == 0
+        paths[name] = str(tmp_path / f"{name}.json")
+        paths[f"{name}_matrices"] = str(tmp_path / f"{name}_matrices.json")
+    capsys.readouterr()
+    for name, build in GOLDEN_DOCUMENTS.items():
+        paths[name] = write_doc(tmp_path, f"{name}.json", build())
+    digests = {}
+    for label, (argv, keep) in GOLDEN_RUNS.items():
+        out_path = tmp_path / f"out_{len(digests)}.json"
+        code = main([arg.format(out=out_path, **paths) for arg in argv])
+        stdout = capsys.readouterr().out.encode("utf-8")
+        blob = f"{code}\n".encode() + stdout
+        if keep:
+            written = out_path.read_bytes()
+            assert written == stdout, label
+            blob += b"--out\n" + written
+            paths[keep] = str(out_path)
+        digests[label] = hashlib.sha256(blob).hexdigest()
+    assert digests == GOLDEN_DIGESTS

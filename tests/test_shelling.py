@@ -5,25 +5,27 @@ from functools import cmp_to_key
 import pytest
 
 from vcmkit import (
-    FacetKey,
-    PairKey,
     Shape,
     SimplicialComplex,
     Vertex,
     balanced_vcm_certificate,
-    compare_facets,
-    compare_pairs,
     irrelevant_complex,
     irrelevant_shelling_order,
     is_relevant,
     union,
     verify_shelling,
 )
-from vcmkit.shelling import face_from_key, facet_key
 from helpers import (
     DESK_SHAPES,
+    FacetKey,
+    PairKey,
+    balanced_bases,
+    compare_facets,
+    compare_pairs,
     cx,
     desk_scale_cases,
+    face_from_key,
+    facet_key,
     find_shelling,
     random_balanced,
     random_certificate_cases,
@@ -243,7 +245,31 @@ class TestIrrelevantComplex:
             assert sorted(per_component) == [0, 1, 2]
 
 
+    @pytest.mark.parametrize("entries", DESK_SHAPES + ((2, 0, 1), (1, 0), (1, 1, 1, 1)))
+    def test_matches_brute_force(self, entries):
+        # Every r-set with one component doubled, one missed, one vertex elsewhere.
+        shape = Shape(entries)
+        want = set()
+        for face in itertools.combinations(shape.vertices(), shape.r):
+            counts = sorted(sum(v.component == c for v in face)
+                            for c in range(1, shape.r + 1))
+            if counts == [0] + [1] * (shape.r - 2) + [2]:
+                want.add(frozenset(face))
+        assert set(irrelevant_complex(shape).facets) == want
+
+
 class TestIrrelevantShellingOrder:
+    @pytest.mark.parametrize("entries", DESK_SHAPES)
+    def test_order_lists_the_irrelevant_complex_once(self, entries):
+        shape = Shape(entries)
+        irr = irrelevant_complex(shape)
+        for base in balanced_bases(shape):
+            order = irrelevant_shelling_order(shape, base)
+            assert len(set(order[1:])) == len(order) - 1
+            assert set(order[1:]) == set(irr.facets)
+            delta = SimplicialComplex.from_facets(shape, [base])
+            assert balanced_vcm_certificate(delta).delta_prime == irr
+
     def test_two_lines(self):
         shape = Shape((1, 1))
         base = fs((1, 0), (2, 0))
