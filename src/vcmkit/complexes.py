@@ -43,10 +43,11 @@ class FaceNotInComplexError(ValueError):
 
 
 class VertexLimitError(ValueError):
-    """The vertex count exceeds MAX_SWEEP_VERTICES, the bound for a subset sweep."""
+    """A subset sweep would visit more than 2**MAX_SWEEP_VERTICES vertex subsets."""
 
 
-# Largest vertex count for which a step may walk all 2^n vertex subsets.
+# Largest vertex count for which a step may walk all 2^n vertex subsets; a
+# sweep that visits only some subsets may visit at most 2**MAX_SWEEP_VERTICES.
 MAX_SWEEP_VERTICES = 20
 
 

@@ -67,6 +67,19 @@ def _read_face(data, shape: Shape, path: str):
     return vertices
 
 
+def _read_masks(data: list, shape: Shape, path: str) -> tuple:
+    """Masks of a list of faces read by `_read_face`, which has checked every
+    vertex; the bits come straight from the shape's offsets."""
+    offsets = shape._offsets
+    masks = []
+    for i, item in enumerate(data):
+        mask = 0
+        for v in _read_face(item, shape, f"{path}[{i}]"):
+            mask |= 1 << (offsets[v.component - 1] + v.index)
+        masks.append(mask)
+    return tuple(masks)
+
+
 def face_to_json(face) -> list:
     return [[v.component, v.index] for v in sorted(face)]
 
@@ -87,8 +100,7 @@ def parse_complex_document(text: str):
     raw_facets = data["facets"]
     if not isinstance(raw_facets, list) or not raw_facets:
         raise DocumentError("facets: expected a non-empty list of faces")
-    facets = [_read_face(item, shape, f"facets[{i}]") for i, item in enumerate(raw_facets)]
-    delta = SimplicialComplex.from_facets(shape, facets)
+    delta = SimplicialComplex(shape, _read_masks(raw_facets, shape, "facets"))
     labels = None
     if "labels" in data:
         raw = data["labels"]
@@ -205,14 +217,11 @@ def certificate_from_dict(data) -> VcmCertificate:
     shape = _read_shape(data["shape"])
     if not isinstance(data["delta_facets"], list) or not data["delta_facets"]:
         raise DocumentError("delta_facets: expected a non-empty list")
-    delta = SimplicialComplex.from_facets(
-        shape, [_read_face(f, shape, f"delta_facets[{i}]")
-                for i, f in enumerate(data["delta_facets"])])
+    delta = SimplicialComplex(shape, _read_masks(data["delta_facets"], shape, "delta_facets"))
     if not isinstance(data["delta_prime_facets"], list):
         raise DocumentError("delta_prime_facets: expected a list")
-    delta_prime = SimplicialComplex.from_facets(
-        shape, [_read_face(f, shape, f"delta_prime_facets[{i}]")
-                for i, f in enumerate(data["delta_prime_facets"])])
+    delta_prime = SimplicialComplex(
+        shape, _read_masks(data["delta_prime_facets"], shape, "delta_prime_facets"))
     if not isinstance(data["verdict"], bool):
         raise DocumentError("verdict: expected a boolean")
     if not isinstance(data["codim"], int):

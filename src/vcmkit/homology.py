@@ -5,12 +5,27 @@ lists), split into layers by face size; one routine turns layers into
 ranks.  The Reisner link test, `_link_defect`, serves `is_cm_reisner` and
 the augmentation search in `vres`; it goes through a bounded lru_cache
 keyed on the canonical face-mask tuple, because links of different
-complexes in a search repeat.  The Hochster subset sweep does not: its
-restrictions are distinct within a sweep, so it filters pre-layered faces
-for each vertex subset, skips the subsets that are faces (their
-restrictions are simplices), and shares work only between subsets that
+complexes in a search repeat.  The Hochster subset sweeps do not: their
+restrictions are distinct within a sweep, so they filter pre-layered faces
+for each vertex subset and skip the subsets that are faces (their
+restrictions are simplices).
+
+There are two sweeps.  `hochster_betti` reports every Betti number, so it
+walks all 2^n vertex subsets and shares work only between subsets that
 differ in vertices lying in no face, through a dict dropped when the sweep
-ends.
+ends.  `projective_dimension` needs only the largest homological index, and
+visits only the (W, d) pairs that can raise it.  By Hochster's formula
+beta_{i,W} is the rank of the reduced homology of the restriction to W in
+degree |W| - i - 1, and by Auslander-Buchsbaum pdim is at least the height,
+`codim_affine`.  Starting from that bound, a pair (W, d) can raise the
+running maximum only when d <= |W| - 2 - best.  A vertex in no face adds
+one to every index it joins, so it joins every W and is not enumerated;
+a nonempty W of vertices in use has no homology in degree -1.  So the
+sweep walks the subsets W of the m vertices in use from the largest down,
+stops once |W| - 2 - best falls below 0, skips faces, and filters and
+ranks only the faces of size at most |W| - best.  It visits at most
+sum_{j < dim} C(m, j) subsets, which it checks against
+2**MAX_SWEEP_VERTICES before it starts.
 
 Ranks are exact: GF(2) uses packed bitmask elimination on the columns of
 `_packed_boundaries`, odd primes modular elimination and the rationals
@@ -25,11 +40,13 @@ with GF(2) homology on both sides (as in the real projective plane).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, _check_vertex_bound, _popcount
+from .complexes import MAX_SWEEP_VERTICES, SimplicialComplex, _check_vertex_bound, _popcount
 from .complexes import VertexLimitError  # noqa: F401  (re-exported for existing importers)
 from .linalg import CoefficientField, gf2_rank, integer_rank, rank_mod_p
 from .stanley_reisner import codim_affine
@@ -190,6 +207,18 @@ class BettiTable:
         return sum(v for (k, _), v in self.entries.items() if k == i)
 
 
+def _restricted_layers(layers: list, out: int) -> list:
+    """The layers of the faces that miss every vertex of `out`, up to the
+    first size with none."""
+    sub = []
+    for layer in layers:
+        kept = [f for f in layer if not f & out]
+        if not kept:
+            break
+        sub.append(kept)
+    return sub
+
+
 def _hochster_sweep(delta: SimplicialComplex, characteristic: int):
     """Yield (i, sigma mask, beta) for every nonzero beta_{i, sigma}, by sigma.
 
@@ -210,13 +239,7 @@ def _hochster_sweep(delta: SimplicialComplex, characteristic: int):
         key = sigma & used
         ranks = memo.get(key)
         if ranks is None:
-            out = used & ~sigma
-            sub = []
-            for layer in layers:
-                kept = [f for f in layer if not f & out]
-                if not kept:
-                    break
-                sub.append(kept)
+            sub = _restricted_layers(layers, used & ~sigma)
             ranks = _ranks_from_layers(sub, characteristic, packed)
             if unused:
                 memo[key] = ranks
@@ -244,11 +267,48 @@ def hochster_betti(delta: SimplicialComplex, field: CoefficientField) -> BettiTa
 
 
 def projective_dimension(delta: SimplicialComplex, field: CoefficientField) -> int:
-    """Length of the minimal free resolution of the Stanley-Reisner quotient."""
-    _check_vertex_bound(delta.shape)
+    """Length of the minimal free resolution of the Stanley-Reisner quotient.
+
+    The pruned Hochster sweep of the module docstring: it refuses a complex
+    whose sweep could visit more than 2**MAX_SWEEP_VERTICES vertex subsets
+    (VertexLimitError) before visiting any.
+    """
     if delta.is_void:
         raise ValueError("the void complex presents the zero module; no projective dimension")
-    return max(i for i, _, _ in _hochster_sweep(delta, field.characteristic))
+    used = 0
+    for f in delta.facet_masks:
+        used |= f
+    bits = [1 << b for b in range(used.bit_length()) if used >> b & 1]
+    count = sum(comb(len(bits), j) for j in range(delta.dim))
+    if count > 1 << MAX_SWEEP_VERTICES:
+        raise VertexLimitError(
+            f"the projective dimension sweep would visit {count} vertex subsets, "
+            f"more than the 2**{MAX_SWEEP_VERTICES} subset sweep bound")
+    free = delta.shape.num_vertices - len(bits)  # vertices in no face
+    best = codim_affine(delta)
+    faces = delta.face_masks()
+    is_face = set(faces)
+    layers = _layers(_canon(faces))
+    characteristic = field.characteristic
+    packed = _packed_boundaries(layers) if characteristic in (0, 2) else None
+    for size in range(len(bits), 0, -1):
+        k = size + free
+        if best >= k - 1:  # only d = -1 is left, and W has vertices of delta
+            break
+        for combo in itertools.combinations(bits, size):
+            w = sum(combo)
+            if w in is_face:
+                continue
+            top = k - best  # faces above this size cannot raise best
+            sub = _restricted_layers(layers[:top + 1], used & ~w)
+            # Layer `top` may be cut short; the ranks of the sizes below it
+            # are exact (the layers kept form a complex, so the GF(2) bound
+            # on rational ranks still holds).
+            for d, h in _ranks_from_layers(sub, characteristic, packed)[:top]:
+                if h:
+                    best = k - 1 - d
+                    break
+    return best
 
 
 # -- Cohen-Macaulay tests -------------------------------------------------
@@ -264,13 +324,17 @@ def is_cm_reisner(delta: SimplicialComplex, field: CoefficientField) -> ReisnerV
 
     Faces are visited in canonical order (cardinality, then vertex order)
     and the witness reports the first face whose link has nonvanishing
-    reduced homology strictly below its dimension.
+    reduced homology strictly below its dimension.  Faces of size dim or more
+    are not visited: their links, {emptyset} or points, cannot fail.
     """
     if delta.is_void:
         raise ValueError("Cohen-Macaulayness is undefined for the void complex")
     faces = delta.face_masks()
     characteristic = field.characteristic
+    dim = delta.dim
     for sigma in faces:
+        if sigma.bit_count() >= dim:
+            break
         d = _link_defect([f ^ sigma for f in faces if f & sigma == sigma], characteristic)
         if d is not None:
             return ReisnerVerdict(False, (delta.shape.face_from_mask(sigma), d))

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from vcmkit import Shape, SimplicialComplex
+from vcmkit import Shape, SimplicialComplex, irrelevant_complex, union
 from vcmkit.cli import main
 from vcmkit.documents import (
     complex_document,
@@ -151,6 +151,28 @@ class TestCheckCmCommand:
         code, _, err = run(capsys, "check-cm", str(fixture_dir / "fig1.json"),
                            "--field", "6")
         assert code == 3 and "not prime" in err
+
+    @pytest.mark.parametrize("field", ["2", "Q"])
+    def test_past_twenty_vertices(self, tmp_path, capsys, field):
+        # The seeded (5,5,5,5) complex of the certify test plus the irrelevant
+        # complex: 24 vertices and dimension 3, so the pdim sweep visits at
+        # most sum_{j < 3} C(24, j) = 301 of the 2^24 vertex subsets.
+        balanced = TestCertifyBalancedCommand.large_balanced("random (5,5,5,5)")
+        u = union(balanced, irrelevant_complex(balanced.shape))
+        path = write_doc(tmp_path, "union.json", complex_document(u))
+        code, report, err = run_json(capsys, "check-cm", path, "--field", field)
+        assert code == 0, err
+        verdicts = report["verdicts"]
+        assert verdicts["pdim"] == verdicts["codim_affine"] == 20
+        assert verdicts["reisner_cm"] is True and verdicts["agreement"] is True
+
+    def test_sweep_bound_exit(self, tmp_path, capsys):
+        # One 7-vertex facet and 43 isolated points: more than 2^20 subsets.
+        d = SimplicialComplex(Shape((49,)), (0b1111111,) + tuple(1 << b for b in range(7, 50)))
+        path = write_doc(tmp_path, "wide.json", complex_document(d))
+        code, out, err = run(capsys, "check-cm", path)
+        assert code == 3 and out == ""
+        assert "would visit 2369936 vertex subsets" in err
 
 
 class TestCertifyBalancedCommand:

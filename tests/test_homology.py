@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -258,15 +259,15 @@ class TestHochster:
         assert t1.max_index == 3 and t2.max_index == 3
 
     def test_vertex_limit(self):
-        # 21 vertices: refused before any of the 2^21 subsets is visited.
+        # 21 vertices: the full sweep is refused before any of the 2^21
+        # subsets is visited; the pruned pdim sweep has none to visit.
         d = cx((20,), [(1, 0), (1, 1)])
         message = "21 vertices exceed the max_vertices=20 subset sweep bound"
         with pytest.raises(VertexLimitError, match=message):
             hochster_betti(d, QQ)
-        with pytest.raises(VertexLimitError, match=message):
-            projective_dimension(d, QQ)
-        with pytest.raises(VertexLimitError, match=message):
-            is_cm_pdim(d, QQ)
+        assert projective_dimension(d, QQ) == 19
+        assert is_cm_pdim(d, QQ) is True
+
 
 class TestSweepAgainstOracle:
     """The layered sweep, with Q ranks certified by GF(2), against the plain
@@ -274,12 +275,16 @@ class TestSweepAgainstOracle:
 
     def test_all_five_vertex_complexes_over_q(self, five_vertex):
         for delta in five_vertex:
-            assert hochster_betti(delta, QQ) == hochster_betti_oracle(delta, 0)
+            table = hochster_betti(delta, QQ)
+            assert table == hochster_betti_oracle(delta, 0)
+            assert projective_dimension(delta, QQ) == table.max_index
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_seeded_five_vertex_complexes_over_gfp(self, five_vertex, p):
         for delta in random.Random(20261018 + p).sample(five_vertex, 1000):
-            assert hochster_betti(delta, GF(p)) == hochster_betti_oracle(delta, p)
+            table = hochster_betti(delta, GF(p))
+            assert table == hochster_betti_oracle(delta, p)
+            assert projective_dimension(delta, GF(p)) == table.max_index
 
     @pytest.mark.parametrize("characteristic", [0, 2, 3])
     def test_torsion_unused_vertices_and_unions(self, rp2, characteristic):
@@ -288,7 +293,9 @@ class TestSweepAgainstOracle:
         strip = cx((3, 3), [(1, 0), (1, 1), (1, 2)], [(1, 1), (1, 2), (1, 3)])
         field = CoefficientField(characteristic)
         for delta in [rp2, rp2_wide, strip] + seeded_unions():
-            assert hochster_betti(delta, field) == hochster_betti_oracle(delta, characteristic)
+            table = hochster_betti(delta, field)
+            assert table == hochster_betti_oracle(delta, characteristic)
+            assert projective_dimension(delta, field) == table.max_index
 
     def test_certified_q_ranks_equal_bareiss(self, rp2):
         rng = random.Random(20261019)
@@ -350,6 +357,38 @@ class TestProjectiveDimension:
     def test_field_dependence_on_rp2(self, rp2):
         assert projective_dimension(rp2, QQ) == 3
         assert projective_dimension(rp2, GF(2)) == 4
+
+    def test_pruned_sweep_edge_cases(self, rp2):
+        # {emptyset} presents the Koszul complex (pdim n), the full simplex a
+        # free module (pdim 0), and every vertex in no face adds one.
+        for n in (1, 4, 7):
+            shape = Shape((n - 1,))
+            assert projective_dimension(SimplicialComplex(shape, (0,)), GF(2)) == n
+            assert projective_dimension(SimplicialComplex(shape, (shape.full_mask,)), QQ) == 0
+        rp2_wide = SimplicialComplex(Shape((8,)), rp2.facet_masks)
+        for field, want in ((QQ, 6), (GF(2), 7), (GF(3), 6)):
+            assert projective_dimension(rp2_wide, field) == want
+            assert hochster_betti(rp2_wide, field).max_index == want
+
+    def test_sweep_bound_is_checked_before_enumerating(self, monkeypatch):
+        # One 7-vertex facet and 43 isolated points on 50 vertices: the sweep
+        # would visit sum_{j < 6} C(50, j) = 2,369,936 > 2^20 subsets.
+        shape = Shape((49,))
+        d = SimplicialComplex(shape, (0b1111111,) + tuple(1 << b for b in range(7, 50)))
+        lone = SimplicialComplex(shape, (0b1111111,))
+
+        def no_enumeration(*args):
+            raise AssertionError("a subset enumeration started")
+
+        monkeypatch.setattr(itertools, "combinations", no_enumeration)
+        message = r"would visit 2369936 vertex subsets, more than the 2\*\*20 subset sweep bound"
+        with pytest.raises(VertexLimitError, match=message):
+            projective_dimension(d, GF(2))
+        with pytest.raises(VertexLimitError, match=message):
+            is_cm_pdim(d, QQ)
+        monkeypatch.undo()
+        # The facet alone leaves 43 vertices in no face, which are not enumerated.
+        assert projective_dimension(lone, GF(2)) == 43
 
 
 class TestReisner:
