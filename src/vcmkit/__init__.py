@@ -52,7 +52,6 @@ from .stanley_reisner import (
     codim_affine,
     complex_of,
     ideal_of,
-    prime_components,
     saturate_by_B,
     saturation_oracle,
 )

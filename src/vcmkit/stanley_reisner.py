@@ -9,18 +9,33 @@ as dropping the facets that miss a component, which is how `saturate_by_B`
 computes it.  `saturation_oracle` is the independent ideal-theoretic version
 used to cross-check that shortcut: it iterates the colon ideal on exponent
 vectors packed into one int each, so divisibility, colons and lcms are a few
-bit operations per pair.  `ideal_of` and `complex_of` walk all 2^n vertex
-subsets and refuse shapes with more than MAX_SWEEP_VERTICES vertices.
+bit operations per pair.
+
+`ideal_of` and `complex_of` grow the face set layer by layer instead of
+walking all 2^n vertex subsets: a set whose facets are all faces is either
+a face or a minimal nonface, so both directions cost a few bit operations
+per vertex of each face, and nothing for the subsets that are neither.  `ideal_of` tells faces from
+nonfaces by the facets that hold them, one bitset of facet positions per
+vertex; `complex_of` tells them apart by the generators and keeps the faces
+with no extension as facets.  Both still refuse shapes with more
+than MAX_SWEEP_VERTICES vertices: the zero ideal has 2^n faces, and no face
+budget bounds the growth yet.  SqfIdeal minimises its generators as the
+complements of the maximal complements.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .complexes import Face, Shape, SimplicialComplex, _check_vertex_bound, _popcount
+from .complexes import (
+    Shape,
+    SimplicialComplex,
+    _check_vertex_bound,
+    _maximal_masks,
+    _popcount,
+)
 
 
 class EmptyVarietyError(ValueError):
@@ -52,17 +67,13 @@ class SqfIdeal:
         unit = self.is_unit or 0 in masks
         if unit:
             masks = set()
-        else:
-            full = self.shape.full_mask
-            for m in masks:
-                if m & ~full:
-                    raise ValueError(f"generator mask {m:#x} uses bits outside shape {self.shape}")
-        # Keep only divisibility-minimal generators.
-        by_size = sorted(masks, key=_popcount)
-        kept = []
-        for m in by_size:
-            if not any(k & ~m == 0 for k in kept):
-                kept.append(m)
+        full = self.shape.full_mask
+        for m in masks:
+            if m & ~full:
+                raise ValueError(f"generator mask {m:#x} uses bits outside shape {self.shape}")
+        # The divisibility-minimal generators are the complements of the
+        # maximal complements.
+        kept = [full & ~m for m in _maximal_masks([full & ~m for m in masks])]
         kept.sort(key=lambda m: (_popcount(m), self.shape.bits_key(m)))
         object.__setattr__(self, "generator_masks", tuple(kept))
         object.__setattr__(self, "is_unit", unit)
@@ -78,11 +89,6 @@ class SqfIdeal:
     @property
     def generators(self) -> tuple:
         return tuple(self.shape.face_from_mask(m) for m in self.generator_masks)
-
-    def contains_monomial_mask(self, mask: int) -> bool:
-        if self.is_unit:
-            return True
-        return any(g & ~mask == 0 for g in self.generator_masks)
 
 
 @dataclass(frozen=True)
@@ -103,69 +109,112 @@ class IrrelevantIdealB:
         return SqfIdeal(self.shape, self.generator_masks)
 
 
+def _grow_faces(full: int, nonfaces) -> Iterator[tuple]:
+    """Walk the faces of a complex on the vertices `full`, layer by size.
+
+    Each face F comes with `cand`, the vertices w outside F for which every
+    facet of F | w is a face, and `ext`, those for which F | w is itself a
+    face.  F | w with w in cand - ext is then a minimal nonface, and
+    `nonfaces(F, cand)` must return exactly those w.  cand is the AND of ext
+    over the facets of F, so a face costs |F| lookups in the layer below it;
+    growing F only by vertices above its top one reaches every face once.
+    Yields (F, cand, ext) for every face, the empty face first.
+    """
+    ext = full & ~nonfaces(0, full)
+    yield 0, full, ext
+    layer = {0: ext}
+    while layer:
+        grown_layer = {}
+        for face, ext in layer.items():
+            above = ext & -(1 << face.bit_length())
+            while above:
+                w = above & -above
+                above ^= w
+                grown = face | w
+                cand = full & ~grown
+                rest = grown
+                while rest:
+                    u = rest & -rest
+                    rest ^= u
+                    cand &= layer[grown ^ u]
+                grown_ext = cand & ~nonfaces(grown, cand)
+                grown_layer[grown] = grown_ext
+                yield grown, cand, grown_ext
+        layer = grown_layer
+
+
 def ideal_of(delta: SimplicialComplex) -> SqfIdeal:
     """Stanley-Reisner ideal: generated by the minimal nonfaces of the complex.
 
-    Walks the vertex subsets by size, so it refuses shapes with more than
-    MAX_SWEEP_VERTICES vertices (VertexLimitError).
+    A minimal nonface N is a nonface whose facets are all faces, so growing
+    the faces layer by layer meets it once, as F | w for the face F that is
+    N without its top vertex w.  The cost is set by the number of faces.
+    Still refuses shapes with more than MAX_SWEEP_VERTICES vertices
+    (VertexLimitError).
     """
     shape = delta.shape
     if delta.is_void:
         return SqfIdeal(shape, (), is_unit=True)
     _check_vertex_bound(shape)
-    positions = range(shape.num_vertices)
+    # F | w is a face iff some facet holds F and w: one bitset of facet
+    # positions per vertex, ANDed over F, tells without listing the faces.
+    holders = {}
+    for i, f in enumerate(delta.facet_masks):
+        rest = f
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            holders[u] = holders.get(u, 0) | 1 << i
+
+    def nonfaces(face, cand):
+        common = (1 << len(delta.facet_masks)) - 1
+        rest = face
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            common &= holders[u]
+        out = 0
+        while cand:
+            w = cand & -cand
+            cand ^= w
+            if not common & holders.get(w, 0):
+                out |= w
+        return out
+
     gens = []
-    for size in range(shape.num_vertices + 1):
-        for combo in itertools.combinations(positions, size):
-            mask = 0
-            for p in combo:
-                mask |= 1 << p
-            if any(g & ~mask == 0 for g in gens):
-                continue
-            if not delta.has_face_mask(mask):
-                gens.append(mask)
+    for face, cand, ext in _grow_faces(shape.full_mask, nonfaces):
+        tops = cand & ~ext & -(1 << face.bit_length())
+        while tops:
+            w = tops & -tops
+            tops ^= w
+            gens.append(face | w)
     return SqfIdeal(shape, tuple(gens))
 
 
 def complex_of(ideal: SqfIdeal) -> SimplicialComplex:
     """Stanley-Reisner complex: faces are the subsets containing no generator.
 
-    Tabulates all 2^n vertex subsets, so it refuses shapes with more than
-    MAX_SWEEP_VERTICES vertices (VertexLimitError) before allocating the table.
+    Grows the faces layer by layer: a set is a face when all its facets are
+    faces and it is not a generator, and a face with no extension is a
+    facet, so the cost is set by the number of faces.  Still refuses shapes
+    with more than MAX_SWEEP_VERTICES vertices (VertexLimitError).
     """
     shape = ideal.shape
     if ideal.is_unit:
         raise UnitIdealError("the unit ideal corresponds to no simplicial complex")
     _check_vertex_bound(shape)
-    n = shape.num_vertices
-    gens = ideal.generator_masks
-    is_face = bytearray(1 << n)
-    for mask in range(1 << n):
-        is_face[mask] = not any(g & ~mask == 0 for g in gens)
-    facets = []
-    for mask in range(1 << n):
-        if not is_face[mask]:
-            continue
-        if any(not mask >> p & 1 and is_face[mask | (1 << p)] for p in range(n)):
-            continue
-        facets.append(mask)
+    # blocked[F] holds the vertices w with F | w a generator.
+    blocked = {}
+    for g in ideal.generator_masks:
+        rest = g
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            blocked[g ^ u] = blocked.get(g ^ u, 0) | u
+    facets = [face for face, _, ext in
+              _grow_faces(shape.full_mask, lambda face, cand: cand & blocked.get(face, 0))
+              if not ext]
     return SimplicialComplex(shape, tuple(facets))
-
-
-class PrimeComponent(NamedTuple):
-    vertices: Face  # generators of the coordinate prime
-    codim: int
-
-
-def prime_components(delta: SimplicialComplex) -> tuple:
-    """Minimal primes of the Stanley-Reisner ideal: one coordinate prime per facet."""
-    shape = delta.shape
-    full = shape.full_mask
-    out = []
-    for f in delta.facet_masks:
-        comp = full & ~f
-        out.append(PrimeComponent(shape.face_from_mask(comp), _popcount(comp)))
-    return tuple(out)
 
 
 def saturate_by_B(delta: SimplicialComplex) -> SimplicialComplex:

@@ -72,6 +72,16 @@ class Polynomial:
         self.terms = {e: c for e, c in merged.items() if c}
 
     @classmethod
+    def _from_checked(cls, nvars: int, terms: dict) -> "Polynomial":
+        """Adopt a dict from int exponent tuples of length nvars, all entries
+        non-negative, to int coefficients, skipping __init__'s checks and
+        conversions; zero coefficients are dropped."""
+        poly = cls.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = {e: c for e, c in terms.items() if c}
+        return poly
+
+    @classmethod
     def zero(cls, nvars) -> "Polynomial":
         return cls(nvars)
 
@@ -162,7 +172,7 @@ def parse_polynomial(text: str, shape: Shape) -> Polynomial:
             expo[shape.bit(v)] += 1
         key = tuple(expo)
         coeffs[key] = coeffs.get(key, 0) + coeff
-    return Polynomial(nvars, coeffs)
+    return Polynomial._from_checked(nvars, coeffs)
 
 
 def render_polynomial(poly: Polynomial, shape: Shape) -> str:

@@ -389,6 +389,86 @@ def hochster_betti_oracle(delta, characteristic):
     return BettiTable(entries)
 
 
+def ideal_of_walk(delta):
+    """Minimal non-face masks of a non-void complex, by walking all 2^n vertex
+    subsets by size: the subset walk `ideal_of` used to make.  Walk order is
+    (size, vertex order), the order of SqfIdeal.generator_masks."""
+    positions = range(delta.shape.num_vertices)
+    gens = []
+    for size in range(delta.shape.num_vertices + 1):
+        for combo in itertools.combinations(positions, size):
+            mask = 0
+            for p in combo:
+                mask |= 1 << p
+            if any(g & ~mask == 0 for g in gens):
+                continue
+            if not delta.has_face_mask(mask):
+                gens.append(mask)
+    return tuple(gens)
+
+
+def complex_of_table(ideal):
+    """Facet masks of the complex of a non-unit ideal, from a table of all
+    2^n vertex subsets: the walk `complex_of` used to make."""
+    n = ideal.shape.num_vertices
+    gens = ideal.generator_masks
+    is_face = bytearray(1 << n)
+    for mask in range(1 << n):
+        is_face[mask] = not any(g & ~mask == 0 for g in gens)
+    facets = []
+    for mask in range(1 << n):
+        if not is_face[mask]:
+            continue
+        if any(not mask >> p & 1 and is_face[mask | (1 << p)] for p in range(n)):
+            continue
+        facets.append(mask)
+    return tuple(facets)
+
+
+def minimal_generators_pairwise(shape, generator_masks, is_unit=False):
+    """SqfIdeal's (generator_masks, is_unit) by testing every generator
+    against every one kept so far: O(G^2)."""
+    masks = set(generator_masks)
+    unit = is_unit or 0 in masks
+    if unit:
+        masks = set()
+    else:
+        full = shape.full_mask
+        for m in masks:
+            if m & ~full:
+                raise ValueError(f"generator mask {m:#x} uses bits outside shape {shape}")
+    by_size = sorted(masks, key=lambda m: m.bit_count())
+    kept = []
+    for m in by_size:
+        if not any(k & ~m == 0 for k in kept):
+            kept.append(m)
+    kept.sort(key=lambda m: (m.bit_count(), shape.bits_key(m)))
+    return tuple(kept), unit
+
+
+def contains_monomial_mask(ideal, mask):
+    """True when the squarefree monomial with support `mask` lies in the ideal."""
+    if ideal.is_unit:
+        return True
+    return any(g & ~mask == 0 for g in ideal.generator_masks)
+
+
+class PrimeComponent(NamedTuple):
+    vertices: frozenset  # generators of the coordinate prime
+    codim: int
+
+
+def prime_components(delta):
+    """Minimal primes of the Stanley-Reisner ideal: one coordinate prime per facet."""
+    shape = delta.shape
+    full = shape.full_mask
+    out = []
+    for f in delta.facet_masks:
+        comp = full & ~f
+        out.append(PrimeComponent(shape.face_from_mask(comp), comp.bit_count()))
+    return tuple(out)
+
+
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 

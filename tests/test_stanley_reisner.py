@@ -17,7 +17,6 @@ from vcmkit import (
     codim_affine,
     complex_of,
     ideal_of,
-    prime_components,
     saturate_by_B,
     saturation_oracle,
 )
@@ -25,9 +24,14 @@ from vcmkit import complexes, homology
 from vcmkit.stanley_reisner import is_saturated
 from helpers import (
     antichains_nonvoid,
+    complex_of_table,
+    contains_monomial_mask,
     cx,
     exponent_vectors,
+    ideal_of_walk,
+    minimal_generators_pairwise,
     minimal_nonfaces_bruteforce,
+    prime_components,
     random_balanced,
     random_complex,
     saturation_oracle_tuples,
@@ -55,7 +59,7 @@ class TestSqfIdeal:
         shape = Shape((1,))
         ideal = SqfIdeal.from_faces(shape, [[]])
         assert ideal.is_unit and ideal.generator_masks == ()
-        assert ideal.contains_monomial_mask(0)
+        assert contains_monomial_mask(ideal, 0)
 
     def test_zero_ideal(self):
         ideal = SqfIdeal(Shape((1,)), ())
@@ -64,9 +68,9 @@ class TestSqfIdeal:
     def test_membership(self):
         shape = Shape((3,))
         ideal = SqfIdeal.from_faces(shape, [[V(1, 0), V(1, 1)]])
-        assert ideal.contains_monomial_mask(0b011)
-        assert ideal.contains_monomial_mask(0b111)
-        assert not ideal.contains_monomial_mask(0b101)
+        assert contains_monomial_mask(ideal, 0b011)
+        assert contains_monomial_mask(ideal, 0b111)
+        assert not contains_monomial_mask(ideal, 0b101)
 
 
 class TestIdealOf:
@@ -143,6 +147,88 @@ class TestComplexOf:
             assert ideal_of(complex_of(ideal)) == ideal
 
 
+class TestAgainstSubsetWalks:
+    """ideal_of, complex_of and SqfIdeal's minimisation against the 2^n walks."""
+
+    SHAPES = ((0,), (1, 0), (0, 0), (0, 2), (2, 0, 1), (0, 0, 0), (2, 2), (1, 1, 1))
+
+    def check(self, d):
+        ideal = ideal_of(d)
+        if d.is_void:
+            assert ideal.is_unit and ideal.generator_masks == ()
+            return
+        assert ideal.generator_masks == ideal_of_walk(d)
+        back = complex_of(ideal)
+        assert back == d and set(back.facet_masks) == set(complex_of_table(ideal))
+
+    def test_empty_face_and_void(self):
+        for entries in self.SHAPES:
+            shape = Shape(entries)
+            empty_face = SimplicialComplex(shape, (0,))
+            self.check(empty_face)
+            assert ideal_of(empty_face).generator_masks == tuple(
+                1 << p for p in range(shape.num_vertices))
+            self.check(SimplicialComplex(shape, ()))
+
+    def test_zero_ideal(self):
+        for entries in self.SHAPES:
+            shape = Shape(entries)
+            zero = SqfIdeal(shape, ())
+            assert complex_of(zero).facet_masks == complex_of_table(zero) == (shape.full_mask,)
+            assert ideal_of(complex_of(zero)).is_zero
+
+    def test_vertices_in_no_face(self):
+        # Every facet misses the last vertex of each component.
+        rng = random.Random(20261101)
+        for entries in [(2, 2), (1, 2, 1), (3, 0)]:
+            shape = Shape(entries)
+            unused = 0
+            for cm in shape.component_masks:
+                unused |= 1 << (cm.bit_length() - 1)
+            for _ in range(30):
+                d = random_complex(shape, rng)
+                d = SimplicialComplex(shape, tuple(f & ~unused for f in d.facet_masks))
+                self.check(d)
+                if not d.is_void:
+                    singles = {g for g in ideal_of(d).generator_masks if g.bit_count() == 1}
+                    assert singles >= {1 << p for p in range(shape.num_vertices) if unused >> p & 1}
+
+    def test_random_complexes_with_zero_entries(self):
+        rng = random.Random(20261102)
+        for entries in self.SHAPES:
+            shape = Shape(entries)
+            for _ in range(25):
+                self.check(random_complex(shape, rng, max_facets=6))
+
+    def test_minimisation_with_duplicates_dominated_and_zero(self):
+        rng = random.Random(20261103)
+        for entries in [(2, 2), (1, 0, 2), (0,), (3, 3)]:
+            shape = Shape(entries)
+            n = shape.num_vertices
+            for _ in range(200):
+                masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 8))]
+                masks += [m | rng.randrange(1 << n) for m in masks[:rng.randint(0, 3)]]
+                masks += rng.sample(masks, min(len(masks), rng.randint(0, 3)))
+                if rng.random() < 0.15:
+                    masks.append(0)
+                rng.shuffle(masks)
+                unit = rng.random() < 0.05
+                ideal = SqfIdeal(shape, tuple(masks), is_unit=unit)
+                assert (ideal.generator_masks, ideal.is_unit) == minimal_generators_pairwise(
+                    shape, masks, unit)
+
+    def test_bits_outside_shape(self):
+        shape = Shape((1, 1))
+        for masks in [(0b10000,), (0b1, 0b100001), (0b11, 0b11, 1 << 70)]:
+            with pytest.raises(ValueError, match="uses bits outside shape") as want:
+                minimal_generators_pairwise(shape, masks)
+            with pytest.raises(ValueError, match="uses bits outside shape") as got:
+                SqfIdeal(shape, masks)
+            assert str(got.value) == str(want.value)
+        # The unit rule comes first: a unit ideal carries no generators to check.
+        assert SqfIdeal(shape, (0, 0b10000)).is_unit
+
+
 class TestVertexBound:
     shape = Shape((20,))  # 21 vertices
 
@@ -198,8 +284,8 @@ class TestPrimeComponents:
                 mask = rng.randrange(1 << d.shape.num_vertices)
                 in_every_prime = all(
                     mask & d.shape.mask_of(c.vertices) for c in comps) if comps else True
-                assert ideal.contains_monomial_mask(mask) == in_every_prime
-                assert ideal.contains_monomial_mask(mask) == (not d.has_face_mask(mask))
+                assert contains_monomial_mask(ideal, mask) == in_every_prime
+                assert contains_monomial_mask(ideal, mask) == (not d.has_face_mask(mask))
 
 
 class TestIrrelevantIdeal:
@@ -418,5 +504,10 @@ class TestSaturationOracleAgainstTuples:
         cases.append(SimplicialComplex(shape, (0,)))
         assert len(cases) == 7580
         for d in cases:
-            gens = exponent_vectors(ideal_of(d))
+            # The same loop checks the face-set translation against the subset walks.
+            ideal = ideal_of(d)
+            assert ideal.generator_masks == ideal_of_walk(d)
+            back = complex_of(ideal)
+            assert back == d and set(back.facet_masks) == set(complex_of_table(ideal))
+            gens = exponent_vectors(ideal)
             assert saturation_oracle(gens, b) == saturation_oracle_tuples(gens, b)
