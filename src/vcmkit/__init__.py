@@ -9,15 +9,12 @@ from .complexes import (
     SimplicialComplex,
     Vertex,
     is_relevant,
-    permute_components,
-    relabel_within_component,
     union,
 )
 from .homology import (
     BettiTable,
     ReisnerVerdict,
     VertexLimitError,
-    has_field_dependent_homology,
     hochster_betti,
     is_cm_pdim,
     is_cm_reisner,

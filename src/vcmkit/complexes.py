@@ -18,7 +18,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 
 class Vertex(NamedTuple):
@@ -43,16 +43,21 @@ class FaceNotInComplexError(ValueError):
 
 
 class VertexLimitError(ValueError):
-    """A subset sweep would visit more than 2**MAX_SWEEP_VERTICES vertex subsets."""
+    """A step whose cost can reach 2^n on n vertices was refused before it
+    started: the shape has more than MAX_SWEEP_VERTICES vertices, or a pruned
+    sweep would visit more than 2**MAX_SWEEP_VERTICES vertex subsets."""
 
 
-# Largest vertex count for which a step may walk all 2^n vertex subsets; a
-# sweep that visits only some subsets may visit at most 2**MAX_SWEEP_VERTICES.
+# Largest vertex count for a step whose cost can reach 2^n: the full Hochster
+# sweep walks all vertex subsets, and the face sets that ideal_of and
+# complex_of grow may hold up to 2^n faces.  projective_dimension's pruned
+# sweep caps the subsets it visits at 2**MAX_SWEEP_VERTICES instead.
 MAX_SWEEP_VERTICES = 20
 
 
 def _check_vertex_bound(shape: Shape) -> None:
-    """Refuse a step that walks all 2^n vertex subsets when n > MAX_SWEEP_VERTICES."""
+    """Refuse a step whose cost can reach 2^n (a full subset sweep, or a face
+    set that may hold up to 2^n faces) when n > MAX_SWEEP_VERTICES."""
     n = shape.num_vertices
     if n > MAX_SWEEP_VERTICES:
         raise VertexLimitError(
@@ -202,13 +207,6 @@ def is_relevant(face, shape: Shape) -> bool:
 
 
 @dataclass(frozen=True)
-class RelevantPurityReport:
-    relevant_facets: tuple  # tuple[Face, ...]
-    passed: bool
-    vacuous: bool
-
-
-@dataclass(frozen=True)
 class SimplicialComplex:
     """Immutable simplicial complex given by its facets.
 
@@ -322,15 +320,6 @@ class SimplicialComplex:
         """Drop facets that miss some component (combinatorial B-saturation)."""
         return SimplicialComplex(self.shape, self.relevant_facet_masks())
 
-    def relevant_purity_check(self) -> RelevantPurityReport:
-        rel = self.relevant_facet_masks()
-        sizes = {_popcount(m) for m in rel}
-        return RelevantPurityReport(
-            relevant_facets=tuple(self.shape.face_from_mask(m) for m in rel),
-            passed=len(sizes) <= 1,
-            vacuous=not rel,
-        )
-
     def gallery_connected(self) -> bool:
         """Facet-ridge connectivity of a pure complex."""
         if not self.is_pure():
@@ -393,41 +382,3 @@ def union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     if a.shape != b.shape:
         raise ValueError("cannot union complexes on different shapes")
     return SimplicialComplex(a.shape, a.facet_masks + b.facet_masks)
-
-
-def permute_components(delta: SimplicialComplex, perm: Sequence) -> SimplicialComplex:
-    """Relabel components by a bijection of 1..r; vertex (i, j) -> (perm[i-1], j).
-
-    The shape entries travel with their components.
-    """
-    shape = delta.shape
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(1, shape.r + 1)):
-        raise ValueError(f"{perm} is not a permutation of 1..{shape.r}")
-    new_entries = [0] * shape.r
-    for i, n in enumerate(shape.entries):
-        new_entries[perm[i] - 1] = n
-    new_shape = Shape(tuple(new_entries))
-    facets = [
-        [Vertex(perm[v.component - 1], v.index) for v in face]
-        for face in delta.facets
-    ]
-    return SimplicialComplex.from_facets(new_shape, facets)
-
-
-def relabel_within_component(delta: SimplicialComplex, component: int,
-                             mapping: Sequence) -> SimplicialComplex:
-    """Relabel indices of one component by a bijection of 0..n_i."""
-    shape = delta.shape
-    if not 1 <= component <= shape.r:
-        raise ValueError(f"no component {component} in shape {shape}")
-    n = shape.entries[component - 1]
-    mapping = tuple(int(m) for m in mapping)
-    if sorted(mapping) != list(range(n + 1)):
-        raise ValueError(f"{mapping} is not a permutation of 0..{n}")
-    facets = [
-        [Vertex(v.component, mapping[v.index]) if v.component == component else v
-         for v in face]
-        for face in delta.facets
-    ]
-    return SimplicialComplex.from_facets(shape, facets)

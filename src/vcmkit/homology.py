@@ -344,16 +344,3 @@ def is_cm_reisner(delta: SimplicialComplex, field: CoefficientField) -> ReisnerV
 def is_cm_pdim(delta: SimplicialComplex, field: CoefficientField) -> bool:
     """Cohen-Macaulay test via Auslander-Buchsbaum: pdim equals affine codim."""
     return projective_dimension(delta, field) == codim_affine(delta)
-
-
-def has_field_dependent_homology(delta: SimplicialComplex, primes=(2, 3)) -> bool:
-    """Flag complexes whose homology ranks differ between Q and small GF(p).
-
-    A disagreement means integral torsion, so field-sensitive answers from
-    the CM tests should be expected.
-    """
-    rational = reduced_homology_ranks(delta, CoefficientField(0))
-    for p in primes:
-        if reduced_homology_ranks(delta, CoefficientField(p)) != rational:
-            return True
-    return False

@@ -14,13 +14,10 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .complexes import (
-    Face,
     Shape,
     SimplicialComplex,
-    Vertex,
     _popcount,
     format_face,
-    permute_components,
     union,
 )
 
@@ -117,16 +114,17 @@ def irrelevant_complex(shape: Shape) -> SimplicialComplex:
         f[-1] for z in range(1, shape.r + 1) for f in _one_pair_block(bits, z)))
 
 
-def _shelling_masks(shape: Shape, base_mask: int) -> list:
-    """Masks of `irrelevant_shelling_order` for a zero-free shape and a
-    balanced base: the base, then the one-pair blocks."""
+def _shelling_masks(bits: list, base_mask: int) -> list:
+    """Masks of `irrelevant_shelling_order` for the components in `bits`
+    (laid out as by `_component_bits`, each with two or more vertices) and a
+    base holding one vertex of each: the base, then the one-pair blocks."""
     # Swap index 0 with the base facet's index in each component.
-    bits = _component_bits(shape)
-    for comp, cm in zip(bits, shape.component_masks):
-        j = comp.index(base_mask & cm)
+    bits = [list(comp) for comp in bits]
+    for comp in bits:
+        j = next(j for j, b in enumerate(comp) if b & base_mask)
         comp[0], comp[j] = comp[j], comp[0]
     order = [base_mask]
-    for k in range(shape.r, 0, -1):
+    for k in range(len(bits), 0, -1):
         order.extend(f[-1] for f in sorted(_one_pair_block(bits, k)))
     return order
 
@@ -145,7 +143,8 @@ def irrelevant_shelling_order(shape: Shape, base) -> ShellingOrder:
     base_mask = shape.mask_of(base)
     if any(_popcount(base_mask & cm) != 1 for cm in shape.component_masks):
         raise ValueError(f"base facet {format_face(base)} is not balanced")
-    return tuple(shape.face_from_mask(m) for m in _shelling_masks(shape, base_mask))
+    masks = _shelling_masks(_component_bits(shape), base_mask)
+    return tuple(shape.face_from_mask(m) for m in masks)
 
 
 # -- the balanced pipeline ------------------------------------------------
@@ -159,22 +158,16 @@ class BalancedCertificate:
     order: ShellingOrder
 
 
-def _zero_free_certificate(delta: SimplicialComplex) -> BalancedCertificate:
-    shape = delta.shape
-    order = _shelling_masks(shape, delta.facet_masks[0])
-    delta_prime = SimplicialComplex(shape, tuple(order[1:]))
-    order.extend(delta.facet_masks[1:])
-    return BalancedCertificate(delta_prime, tuple(shape.face_from_mask(m) for m in order))
-
-
 def balanced_vcm_certificate(delta: SimplicialComplex) -> BalancedCertificate:
     """Shellability certificate for any balanced complex.
 
-    Zero entries of the shape are rotated to the end (each such component
-    has a single vertex, which every balanced facet contains, so the complex
-    is an iterated cone), the zero-free prefix gets the explicit order, and
-    the cone vertices are put back.  The returned order is re-verified on
-    the union before the certificate is handed out.
+    A zero entry of the shape is a component with a single vertex, which
+    every balanced facet contains, so the complex is a cone over those
+    vertices.  The explicit order is built on the other components, with
+    the first facet as base, and the cone vertices are ORed into every
+    facet it yields as one mask; the rest of the complex's facets follow.
+    The returned order is re-verified on the union before the certificate
+    is handed out.
     """
     if delta.is_void:
         raise ValueError("cannot certify the void complex")
@@ -184,45 +177,13 @@ def balanced_vcm_certificate(delta: SimplicialComplex) -> BalancedCertificate:
                                for cm in delta.shape.component_masks))
         raise ValueError(f"facet {format_face(offender)} is not balanced")
     shape = delta.shape
-    nonzero = [c for c, n in enumerate(shape.entries, 1) if n > 0]
-    zero = [c for c, n in enumerate(shape.entries, 1) if n == 0]
-    if not zero:
-        cert = _zero_free_certificate(delta)
-        _check_certificate(delta, cert)
-        return cert
-
-    if not nonzero:
-        # One vertex per component: the only balanced complex is one facet.
-        cert = BalancedCertificate(SimplicialComplex(shape, ()), (delta.facets[0],))
-        _check_certificate(delta, cert)
-        return cert
-
-    # Permute components so the zero entries trail.
-    perm = [0] * shape.r
-    for new, old in enumerate(nonzero + zero, 1):
-        perm[old - 1] = new
-    inverse = {perm[i]: i + 1 for i in range(shape.r)}
-    delta_p = permute_components(delta, perm)
-    q = len(nonzero)
-    prefix_shape = Shape(delta_p.shape.entries[:q])
-    apex_mask = 0
-    for c in range(q + 1, shape.r + 1):
-        apex_mask |= delta_p.shape.component_masks[c - 1]
-    # Leading components share bit positions with the prefix shape, so the
-    # stripped masks transfer verbatim.
-    prefix = SimplicialComplex(prefix_shape,
-                               tuple(m & ~apex_mask for m in delta_p.facet_masks))
-    cert_pre = _zero_free_certificate(prefix)
-
-    def lift(face) -> Face:
-        lifted = set(Vertex(inverse[v.component], v.index) for v in face)
-        lifted.update(Vertex(inverse[c], 0) for c in range(q + 1, shape.r + 1))
-        return frozenset(lifted)
-
-    delta_prime = SimplicialComplex.from_facets(
-        shape, [lift(f) for f in cert_pre.delta_prime.facets])
-    order = tuple(lift(f) for f in cert_pre.order)
-    cert = BalancedCertificate(delta_prime, order)
+    comps = _component_bits(shape)
+    bits = [comp for comp in comps if len(comp) > 1]
+    cone = sum(comp[0] for comp in comps if len(comp) == 1)
+    order = [m | cone for m in _shelling_masks(bits, delta.facet_masks[0])]
+    delta_prime = SimplicialComplex(shape, tuple(order[1:]))
+    order.extend(delta.facet_masks[1:])
+    cert = BalancedCertificate(delta_prime, tuple(shape.face_from_mask(m) for m in order))
     _check_certificate(delta, cert)
     return cert
 

@@ -86,10 +86,6 @@ class Polynomial:
         return cls(nvars)
 
     @classmethod
-    def constant(cls, nvars, value) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
     def variable(cls, nvars, position) -> "Polynomial":
         expo = [0] * nvars
         expo[position] = 1

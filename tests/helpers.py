@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from vcmkit import (
+    BalancedCertificate,
     BettiTable,
     DegreeBoundError,
     EmptyVarietyError,
@@ -322,6 +323,76 @@ def random_certificate_cases(count=200):
         shape = Shape(RANDOM_CERTIFICATE_SHAPES[i % len(RANDOM_CERTIFICATE_SHAPES)])
         delta = random_balanced(shape, rng)
         yield delta, balanced_vcm_certificate(delta)
+
+
+def permute_components(delta, perm):
+    """Relabel components by a bijection of 1..r; vertex (i, j) -> (perm[i-1], j).
+
+    The shape entries travel with their components.
+    """
+    shape = delta.shape
+    perm = tuple(int(p) for p in perm)
+    if sorted(perm) != list(range(1, shape.r + 1)):
+        raise ValueError(f"{perm} is not a permutation of 1..{shape.r}")
+    new_entries = [0] * shape.r
+    for i, n in enumerate(shape.entries):
+        new_entries[perm[i] - 1] = n
+    new_shape = Shape(tuple(new_entries))
+    facets = [
+        [Vertex(perm[v.component - 1], v.index) for v in face]
+        for face in delta.facets
+    ]
+    return SimplicialComplex.from_facets(new_shape, facets)
+
+
+def _zero_free_certificate_oracle(delta):
+    shape = delta.shape
+    order = irrelevant_shelling_order(shape, delta.facets[0])
+    delta_prime = SimplicialComplex.from_facets(shape, order[1:])
+    return BalancedCertificate(delta_prime, order + delta.facets[1:])
+
+
+def balanced_vcm_certificate_oracle(delta):
+    """The certificate of a balanced complex as `balanced_vcm_certificate`
+    used to build it: zero entries of the shape are rotated to the end, the
+    zero-free prefix gets the explicit order, and every face is lifted back
+    through Vertex objects with the cone vertices put back."""
+    shape = delta.shape
+    nonzero = [c for c, n in enumerate(shape.entries, 1) if n > 0]
+    zero = [c for c, n in enumerate(shape.entries, 1) if n == 0]
+    if not zero:
+        return _zero_free_certificate_oracle(delta)
+
+    if not nonzero:
+        # One vertex per component: the only balanced complex is one facet.
+        return BalancedCertificate(SimplicialComplex(shape, ()), (delta.facets[0],))
+
+    # Permute components so the zero entries trail.
+    perm = [0] * shape.r
+    for new, old in enumerate(nonzero + zero, 1):
+        perm[old - 1] = new
+    inverse = {perm[i]: i + 1 for i in range(shape.r)}
+    delta_p = permute_components(delta, perm)
+    q = len(nonzero)
+    prefix_shape = Shape(delta_p.shape.entries[:q])
+    apex_mask = 0
+    for c in range(q + 1, shape.r + 1):
+        apex_mask |= delta_p.shape.component_masks[c - 1]
+    # Leading components share bit positions with the prefix shape, so the
+    # stripped masks transfer verbatim.
+    prefix = SimplicialComplex(prefix_shape,
+                               tuple(m & ~apex_mask for m in delta_p.facet_masks))
+    cert_pre = _zero_free_certificate_oracle(prefix)
+
+    def lift(face):
+        lifted = set(Vertex(inverse[v.component], v.index) for v in face)
+        lifted.update(Vertex(inverse[c], 0) for c in range(q + 1, shape.r + 1))
+        return frozenset(lifted)
+
+    delta_prime = SimplicialComplex.from_facets(
+        shape, [lift(f) for f in cert_pre.delta_prime.facets])
+    order = tuple(lift(f) for f in cert_pre.order)
+    return BalancedCertificate(delta_prime, order)
 
 
 def boundary_rank_direct(cols, rows, characteristic):

@@ -10,8 +10,6 @@ from vcmkit import (
     SimplicialComplex,
     Vertex,
     is_relevant,
-    permute_components,
-    relabel_within_component,
     union,
 )
 from helpers import (
@@ -254,16 +252,6 @@ class TestComponentPredicates:
         d = cx((1, 1), [(1, 0)], [(1, 1)])
         assert d.remove_irrelevant_facets().is_void
 
-    def test_relevant_purity_check(self, fig1):
-        rep = fig1.complex.relevant_purity_check()
-        assert rep.passed and not rep.vacuous
-        assert len(rep.relevant_facets) == 2
-        bad = cx((1, 1), [(1, 0), (2, 0), (2, 1)], [(1, 1), (2, 1)])
-        rep2 = bad.relevant_purity_check()
-        assert not rep2.passed
-        rep3 = cx((1, 1), [(1, 0)]).relevant_purity_check()
-        assert rep3.vacuous and rep3.passed
-
 
 class TestGallery:
     def test_fig1_not_gallery_connected(self, fig1):
@@ -303,27 +291,6 @@ class TestGallery:
 
 
 class TestRelabelling:
-    def test_permute_components(self):
-        d = cx((2, 1), [(1, 0), (1, 2), (2, 1)])
-        p = permute_components(d, (2, 1))
-        assert p.shape.entries == (1, 2)
-        assert p.facets == (frozenset({V(2, 0), V(2, 2), V(1, 1)}),)
-        back = permute_components(p, (2, 1))
-        assert back == d
-
-    def test_permute_validation(self, fig1):
-        with pytest.raises(ValueError):
-            permute_components(fig1.complex, (1, 1))
-
-    def test_relabel_within_component(self):
-        d = cx((2, 1), [(1, 0), (2, 0)])
-        r = relabel_within_component(d, 1, (2, 1, 0))
-        assert r.facets == (frozenset({V(1, 2), V(2, 0)}),)
-        with pytest.raises(ValueError):
-            relabel_within_component(d, 1, (0, 0, 1))
-        with pytest.raises(ValueError):
-            relabel_within_component(d, 5, (0,))
-
     def test_union(self):
         a = cx((1, 1), [(1, 0), (2, 0)])
         b = cx((1, 1), [(1, 0)], [(1, 1), (2, 1)])

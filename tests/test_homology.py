@@ -12,7 +12,6 @@ from vcmkit import (
     Vertex,
     VertexLimitError,
     codim_affine,
-    has_field_dependent_homology,
     hochster_betti,
     ideal_of,
     irrelevant_complex,
@@ -473,16 +472,3 @@ class TestCmPdim:
     def test_simplex(self):
         d = cx((2,), [(1, 0), (1, 1), (1, 2)])
         assert is_cm_pdim(d, QQ)
-
-
-class TestFieldDependence:
-    def test_rp2(self, rp2):
-        assert has_field_dependent_homology(rp2)
-        assert not has_field_dependent_homology(rp2, primes=(3, 5))
-
-    def test_fixtures(self, fig1, c34):
-        assert not has_field_dependent_homology(fig1.complex)
-        assert not has_field_dependent_homology(c34.complex)
-
-    def test_circle(self):
-        assert not has_field_dependent_homology(hollow_triangle())

@@ -20,6 +20,7 @@ from helpers import (
     FacetKey,
     PairKey,
     balanced_bases,
+    balanced_vcm_certificate_oracle,
     compare_facets,
     compare_pairs,
     cx,
@@ -377,7 +378,9 @@ class TestBalancedCertificate:
             assert not is_relevant(f, d.shape)
         assert verify_shelling(union(d, cert.delta_prime), cert.order).ok
 
-    @pytest.mark.parametrize("entries", [(1, 1), (2, 1), (1, 0), (2, 0, 1), (1, 1, 1)])
+    @pytest.mark.parametrize("entries", [
+        (1, 1), (2, 1), (1, 0), (2, 0, 1), (1, 1, 1),
+        (0, 2), (0, 1, 1), (1, 0, 0, 2), (0, 0), (3, 3, 2, 0)])
     def test_random_balanced_complexes(self, entries):
         shape = Shape(entries)
         rng = random.Random(7000 + sum(entries) * 7 + len(entries))
@@ -388,6 +391,9 @@ class TestBalancedCertificate:
             combined = union(d, cert.delta_prime)
             assert verify_shelling(combined, cert.order).ok
             assert set(cert.order) == set(combined.facets)
+            oracle = balanced_vcm_certificate_oracle(d)
+            assert cert.delta_prime == oracle.delta_prime
+            assert cert.order == oracle.order
 
     def test_validation(self):
         with pytest.raises(ValueError):
