@@ -472,3 +472,24 @@ class TestCmPdim:
     def test_simplex(self):
         d = cx((2,), [(1, 0), (1, 1), (1, 2)])
         assert is_cm_pdim(d, QQ)
+
+
+class TestFieldDependence:
+    """Reduced homology ranks agree across fields exactly when there is no torsion."""
+
+    def test_rp2(self, rp2):
+        rational = reduced_homology_ranks(rp2, QQ)
+        assert reduced_homology_ranks(rp2, GF(2)) != rational
+        for p in (3, 5):
+            assert reduced_homology_ranks(rp2, GF(p)) == rational
+
+    def test_fixtures(self, fig1, c34):
+        for delta in (fig1.complex, c34.complex):
+            rational = reduced_homology_ranks(delta, QQ)
+            for p in (2, 3):
+                assert reduced_homology_ranks(delta, GF(p)) == rational
+
+    def test_circle(self):
+        rational = reduced_homology_ranks(hollow_triangle(), QQ)
+        for p in (2, 3):
+            assert reduced_homology_ranks(hollow_triangle(), GF(p)) == rational
