@@ -9,13 +9,13 @@ a certificate, 3 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
 import time
 
-from .complexes import format_face
 from .documents import (
     DocumentError,
     certificate_to_dict,
@@ -58,7 +58,64 @@ def _load_complex(path):
 
 
 def _dump(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """The report as indent-2 JSON with sorted keys and a final newline.
+
+    The bytes are those of ``json.dumps(data, indent=2, sort_keys=True)``
+    plus the newline, whose indent makes json fall back to its pure-Python
+    encoder.  This writer lays out dicts and lists itself and leaves every
+    scalar and key to the C encoder.  Lists of exact ints (the vertex pairs,
+    mostly) are rendered once per (values, indent) and reused; bools are
+    kept out of that memo, since (True, 0) == (1, 0).  Data with a
+    non-string key, or with a value no encoder can write, goes to json.dumps
+    whole, which converts such keys or raises its own TypeError.
+    """
+    scalar = json.JSONEncoder().encode
+    memo = {}
+    out = []
+
+    def write(obj, pad):
+        if isinstance(obj, dict):
+            if not obj:
+                out.append("{}")
+                return
+            inner = pad + "  "
+            sep = "{\n" + inner
+            for key, value in sorted(obj.items()):
+                if not isinstance(key, str):
+                    raise TypeError("non-string key")
+                out.append(sep + scalar(key) + ": ")
+                write(value, inner)
+                sep = ",\n" + inner
+            out.append("\n" + pad + "}")
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                out.append("[]")
+                return
+            inner = pad + "  "
+            if all(type(x) is int for x in obj):
+                key = (tuple(obj), pad)
+                text = memo.get(key)
+                if text is None:
+                    sep = ",\n" + inner
+                    text = memo[key] = ("[\n" + inner + sep.join(map(int.__repr__, obj))
+                                        + "\n" + pad + "]")
+                out.append(text)
+                return
+            sep = "[\n" + inner
+            for item in obj:
+                out.append(sep)
+                write(item, inner)
+                sep = ",\n" + inner
+            out.append("\n" + pad + "]")
+        else:
+            out.append(scalar(obj))
+
+    try:
+        write(data, "")
+    except TypeError:
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def _human_lines(obj, prefix=""):
@@ -291,9 +348,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use.  parse_args leaves it
+    as it was, so every main() call shares it.  Each subcommand's func is
+    bound when it is built, so a cmd_* function patched after the first
+    main() call is not the one that runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         report, code = args.func(args)

@@ -155,10 +155,29 @@ class Shape:
     def full_mask(self) -> int:
         return (1 << self.num_vertices) - 1
 
+    @cached_property
+    def _vertex_masks(self) -> dict:
+        """(component, index) -> the vertex's one-bit mask, for every vertex.
+
+        A Vertex is a NamedTuple, so it hashes and compares like its plain
+        (component, index) tuple and finds the same entry."""
+        return {v: 1 << p for p, v in enumerate(self._vertex_table)}
+
     def mask_of(self, face) -> int:
+        """Bitmask of a face given as an iterable of vertices.
+
+        Each vertex is one lookup in the shape's vertex table.  A vertex the
+        table does not hold, or cannot hash (a list, a 3-tuple, a string, an
+        out-of-shape or negative index), goes through `bit`, which converts
+        it with int() and raises InvalidVertexError where it is invalid.
+        """
+        table = self._vertex_masks
         mask = 0
         for v in face:
-            mask |= 1 << self.bit(v)
+            try:
+                mask |= table[v]
+            except (KeyError, TypeError):
+                mask |= 1 << self.bit(v)
         return mask
 
     def face_from_mask(self, mask: int) -> Face:

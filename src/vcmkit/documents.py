@@ -5,7 +5,13 @@ total in the sense that any input byte stream produces either a valid
 object or a DocumentError whose message carries the position (JSON line and
 column for syntax, a key path for semantic problems).  Serialisation is
 deterministic: canonical face order everywhere, keys sorted by the caller's
-json.dumps.
+writer.
+
+Faces go between documents and bitmasks through one per-shape vertex table,
+`Shape._vertex_masks`: reading a well-formed face is one lookup per vertex,
+and writing a face mask walks its bits in canonical vertex order.  A face
+the table cannot read falls back to the per-vertex checks of `_read_face`,
+so every malformed face still gets its located DocumentError.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from .stanley_reisner import codim, codim_affine
 from .vres import (
     FreeComplexPresentation,
     PdimEvidence,
-    Polynomial,
     ShellingEvidence,
     VcmCertificate,
     parse_polynomial,
@@ -68,16 +73,45 @@ def _read_face(data, shape: Shape, path: str):
 
 
 def _read_masks(data: list, shape: Shape, path: str) -> tuple:
-    """Masks of a list of faces read by `_read_face`, which has checked every
-    vertex; the bits come straight from the shape's offsets."""
-    offsets = shape._offsets
+    """Masks of a list of faces, read through the shape's vertex table.
+
+    A face that is a list of [component, index] pairs of exact ints, every
+    pair in the table and no vertex repeated (the mask's popcount equals
+    the face's length), is read with one lookup per vertex.  Any other face
+    goes through `_read_face`, which raises the DocumentError that locates
+    the problem, or reads what else it accepts, such as bool components.
+    """
+    table = shape._vertex_masks
     masks = []
     for i, item in enumerate(data):
         mask = 0
-        for v in _read_face(item, shape, f"{path}[{i}]"):
-            mask |= 1 << (offsets[v.component - 1] + v.index)
-        masks.append(mask)
+        if type(item) is list:
+            for v in item:
+                if type(v) is not list or len(v) != 2:
+                    break
+                c, j = v
+                bit = table.get((c, j)) if type(c) is int and type(j) is int else None
+                if bit is None:
+                    break
+                mask |= bit
+            else:
+                if mask.bit_count() == len(item):
+                    masks.append(mask)
+                    continue
+        masks.append(shape.mask_of(_read_face(item, shape, f"{path}[{i}]")))
     return tuple(masks)
+
+
+def _mask_to_json(mask: int, shape: Shape) -> list:
+    """A face mask as sorted [component, index] pairs: the bits ascend in
+    the canonical vertex order, which is the order of sorted Vertex tuples."""
+    table = shape._vertex_table
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(list(table[low.bit_length() - 1]))
+        mask ^= low
+    return out
 
 
 def face_to_json(face) -> list:
@@ -120,7 +154,7 @@ def parse_complex_document(text: str):
 def complex_document(delta: SimplicialComplex, labels=None) -> dict:
     doc = {
         "shape": list(delta.shape.entries),
-        "facets": [face_to_json(f) for f in delta.facets],
+        "facets": [_mask_to_json(m, delta.shape) for m in delta.facet_masks],
     }
     if labels:
         doc["labels"] = {k: [v.component, v.index] for k, v in sorted(labels.items())}
@@ -184,6 +218,7 @@ def matrix_document(pres: FreeComplexPresentation) -> dict:
 
 
 def certificate_to_dict(cert: VcmCertificate) -> dict:
+    shape = cert.delta.shape
     if isinstance(cert.evidence, ShellingEvidence):
         evidence = {
             "kind": "shelling",
@@ -199,9 +234,9 @@ def certificate_to_dict(cert: VcmCertificate) -> dict:
     else:
         raise TypeError(f"unknown evidence {type(cert.evidence).__name__}")
     return {
-        "shape": list(cert.delta.shape.entries),
-        "delta_facets": [face_to_json(f) for f in cert.delta.facets],
-        "delta_prime_facets": [face_to_json(f) for f in cert.delta_prime.facets],
+        "shape": list(shape.entries),
+        "delta_facets": [_mask_to_json(m, shape) for m in cert.delta.facet_masks],
+        "delta_prime_facets": [_mask_to_json(m, shape) for m in cert.delta_prime.facet_masks],
         "verdict": cert.verdict,
         "codim": cert.codim,
         "evidence": evidence,
@@ -232,10 +267,8 @@ def certificate_from_dict(data) -> VcmCertificate:
     if ev["kind"] == "shelling":
         if "order" not in ev or not isinstance(ev["order"], list):
             raise DocumentError("evidence.order: expected a list of faces")
-        order = tuple(
-            frozenset(_read_face(f, shape, f"evidence.order[{i}]"))
-            for i, f in enumerate(ev["order"]))
-        evidence = ShellingEvidence(order=order)
+        order = _read_masks(ev["order"], shape, "evidence.order")
+        evidence = ShellingEvidence(order=tuple(map(shape.face_from_mask, order)))
     elif ev["kind"] == "pdim":
         for key in ("field", "pdim", "codim_affine"):
             if key not in ev:

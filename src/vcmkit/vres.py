@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple
 
-from .complexes import Face, Shape, SimplicialComplex, Vertex, _popcount, format_face, union
+from .complexes import Shape, SimplicialComplex, Vertex, format_face, union
 from .homology import (
     _canon,
     _layers,

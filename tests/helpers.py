@@ -7,6 +7,7 @@ be checked against an independent implementation.
 
 import functools
 import itertools
+import json
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -33,6 +34,7 @@ from vcmkit import (
     verify_shelling,
 )
 from vcmkit.complexes import format_face
+from vcmkit.documents import _read_face
 from vcmkit.linalg import gf2_rank, integer_rank, rank_mod_p
 from vcmkit.vres import BUDGET_EXCEEDED, CERTIFIED, DEFAULT_FIELD, EXHAUSTED
 
@@ -705,3 +707,91 @@ def random_pure_relevant(shape, rng, size, max_facets=6):
             m = sum(1 << p for p in rng.sample(range(shape.num_vertices), size))
         masks.append(m)
     return SimplicialComplex(shape, tuple(masks))
+
+
+# -- document I/O oracles -------------------------------------------------
+
+
+def dump_oracle(data):
+    """cli._dump as json.dumps writes it: indent 2, sorted keys, a newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def read_masks_oracle(data, shape, path):
+    """documents._read_masks reading every vertex through _read_face."""
+    offsets = shape._offsets
+    masks = []
+    for i, item in enumerate(data):
+        mask = 0
+        for v in _read_face(item, shape, f"{path}[{i}]"):
+            mask |= 1 << (offsets[v.component - 1] + v.index)
+        masks.append(mask)
+    return tuple(masks)
+
+
+def mask_of_bits(shape, face):
+    """Shape.mask_of through Shape.bit, one validated vertex at a time."""
+    mask = 0
+    for v in face:
+        mask |= 1 << shape.bit(v)
+    return mask
+
+
+def outcome(fn, *args):
+    """fn(*args) as ("ok", value) or ("raise", exception type, message)."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # compared whole by the caller
+        return ("raise", type(exc), str(exc))
+
+
+# Vertex-like values a document or a caller may hand over in place of a
+# valid vertex: odd types, wrong lengths, and positions outside a shape.
+ODD_VERTICES = (
+    [True, 0], [1, False], [1.0, 0], [1, 0.0], [1.5, 0], ["1", 0], [1, "0"], "10",
+    [1, 0, 0], [1], [], [0, 0], [-1, 0], [1, -1], [99, 0], [1, 99], None, 7,
+    {"component": 1}, [[1, 0]], [None, 0], [float("nan"), 0],
+)
+
+
+def random_odd_faces(shape, rng, count):
+    """Seeded faces on `shape`, most of them malformed: valid vertices with
+    one or two replaced by ODD_VERTICES entries, a repeated vertex, or a
+    face that is not a list at all."""
+    valid = [list(v) for v in shape.vertices()]
+    faces = []
+    for _ in range(count):
+        face = [list(v) for v in rng.sample(valid, rng.randint(0, len(valid)))]
+        kind = rng.randrange(6)
+        if kind in (1, 2) and face:
+            for _ in range(kind):
+                face[rng.randrange(len(face))] = rng.choice(ODD_VERTICES)
+        elif kind == 3 and face:
+            face.insert(rng.randrange(len(face) + 1), list(rng.choice(face)))
+        elif kind == 4:
+            face = rng.choice(({"a": 1}, {}, 3, None, "ab", (1, 0), True))
+        faces.append(face)
+    return faces
+
+
+def random_json(rng, depth=0):
+    """Seeded nested JSON-able data with what the report writer must keep:
+    escapes, non-ASCII text, bools, None, big and negative ints, floats,
+    tuples, empty and repeated int lists, and empty dicts."""
+    pick = rng.randrange(10 if depth < 4 else 5)
+    if pick == 0:
+        return rng.choice((True, False, None, 0, -1, 2 ** 70, -(3 ** 50), 1.5, -0.0, 1e300,
+                           float("inf"), float("nan")))
+    if pick == 1:
+        return rng.randint(-9, 9)
+    if pick == 2:
+        chars = 'ab"\\/\n\t\x00\x1f é€😀\u2028'
+        return "".join(rng.choice(chars) for _ in range(rng.randint(0, 6)))
+    if pick == 3:
+        return rng.choice(([1, 0], [0, 1], [True, 0], [1, False], [], [5], [1, 0, 2], (1, 0)))
+    if pick == 4:
+        return [rng.randint(0, 3) for _ in range(rng.randint(0, 3))]
+    if pick in (5, 6, 7):
+        return [random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    keys = ["a", "b", "Z", "é", "a b", "", "\"q\"", "10", "9"]
+    return {rng.choice(keys): random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))}

@@ -24,7 +24,6 @@ from vcmkit import (
     is_cm_pdim,
     is_cm_reisner,
     is_relevant,
-    paper_fixture,
     projective_dimension,
     saturate_by_B,
     saturation_oracle,

@@ -6,15 +6,24 @@ import time
 import pytest
 
 from vcmkit import Shape, SimplicialComplex, irrelevant_complex, union
-from vcmkit.cli import main
+from vcmkit.cli import _dump, _parser, main
 from vcmkit.documents import (
+    certificate_to_dict,
     complex_document,
     matrix_document,
     parse_complex_document,
     parse_matrix_document,
 )
-from vcmkit.vres import paper_fixture
-from helpers import compose_failures_dense, cx, flip_one_entry, koszul_presentation
+from vcmkit import certify_balanced
+from vcmkit.vres import FIXTURE_NAMES, paper_fixture
+from helpers import (
+    compose_failures_dense,
+    cx,
+    dump_oracle,
+    flip_one_entry,
+    koszul_presentation,
+    random_json,
+)
 
 
 def run(capsys, *argv):
@@ -335,6 +344,80 @@ class TestVerifyComplexCommand:
         path.write_text('{"shape": [1], "ranks": [1, 1], "matrices": [[["y"]]]}')
         code, _, err = run(capsys, "verify-complex", str(path))
         assert code == 3 and "matrices[0][0][0]" in err
+
+
+# -- report writer and parser ---------------------------------------------
+
+
+class TestDumpAgainstJson:
+    """_dump writes the bytes of json.dumps(indent=2, sort_keys=True)."""
+
+    def test_seeded_nested_data(self):
+        rng = random.Random(20261018)
+        for _ in range(3000):
+            data = random_json(rng)
+            assert _dump(data) == dump_oracle(data), data
+
+    @pytest.mark.parametrize("data", [
+        {}, [], "", 0, None, True, 2 ** 200, -(2 ** 64), 0.1, float("nan"), -float("inf"),
+        {"a": {}, "b": [], "c": [[]], "d": [{}]},
+        {"esc": "\"\\\n\r\t\b\f\x00\x7f", "text": "Schläfli € \U0001f600 \u2028"},
+        {"\u00e9": 1, "e": 2, "E": 3, "": 4, "é\n": [1, 0]},
+        [[1, 0], [True, 0], [1, False], [1, 0], (1, 0)],
+        {"x": [[1, 0]], "y": [[[1, 0]]], "z": [1, 0]},
+        [[[1, 0], [2, 3]], [[1, 0], [2, 3]]],
+    ])
+    def test_edge_cases(self, data):
+        assert _dump(data) == dump_oracle(data)
+
+    def test_non_string_keys_and_bad_values_go_to_json(self):
+        data = {"a": [{2: "b", 1: [1, 0]}], "b": {False: 1, True: [2], 1.5: {}}}
+        assert _dump({"a": data["a"]}) == dump_oracle({"a": data["a"]})
+        assert _dump({"b": data["b"]}) == dump_oracle({"b": data["b"]})
+        with pytest.raises(TypeError):
+            dump_oracle({1: 0, "a": 0})
+        with pytest.raises(TypeError):
+            _dump({1: 0, "a": 0})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _dump({"a": [1, {"b": object()}]})
+
+    def test_fixture_documents(self):
+        for name in FIXTURE_NAMES:
+            fixture = paper_fixture(name)
+            for doc in (complex_document(fixture.complex, fixture.labels),
+                        matrix_document(fixture.presentation)):
+                assert _dump(doc) == dump_oracle(doc)
+
+    def test_certificate_report(self):
+        shape = Shape((2, 2, 1))
+        delta = SimplicialComplex(shape, tuple(
+            random.Random(20261018).sample(shape.balanced_masks(), 7)))
+        report = {"certificate": certificate_to_dict(certify_balanced(delta)), "digest": "0"}
+        assert _dump(report) == dump_oracle(report)
+
+    def test_fixtures_command_writes_the_oracle_bytes(self, tmp_path, capsys):
+        for name in FIXTURE_NAMES:
+            assert main(["fixtures", name, "--out", str(tmp_path)]) == 0
+            for path in (tmp_path / f"{name}.json", tmp_path / f"{name}_matrices.json"):
+                text = path.read_text()
+                assert text == dump_oracle(json.loads(text))
+        capsys.readouterr()
+
+
+class TestParser:
+    def test_one_parser_per_process(self, fixture_dir, capsys):
+        parser = _parser()
+        assert run(capsys, "info", str(fixture_dir / "fig1.json"))[0] == 0
+        assert _parser() is parser
+
+    def test_parse_args_leaves_no_state(self):
+        help_text = _parser().format_help()
+        first = _parser().parse_args(["search", "a.json", "--budget", "5", "--field", "Q",
+                                      "--no-json", "--out", "o.json"])
+        again = _parser().parse_args(["search", "a.json"])
+        assert (first.budget, first.field, first.json, first.out) == (5, "Q", False, "o.json")
+        assert (again.budget, again.field, again.json, again.out) == (10 ** 6, "2", True, None)
+        assert _parser().format_help() == help_text
 
 
 # -- golden output --------------------------------------------------------

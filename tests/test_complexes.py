@@ -13,10 +13,13 @@ from vcmkit import (
     union,
 )
 from helpers import (
+    ODD_VERTICES,
     cx,
     faces_bruteforce,
     link_bruteforce,
+    mask_of_bits,
     maximal_masks_pairwise,
+    outcome,
     random_complex,
     restriction_bruteforce,
 )
@@ -75,6 +78,55 @@ class TestShape:
         s = Shape((2, 2))
         face = frozenset({V(1, 0), V(2, 2)})
         assert s.face_from_mask(s.mask_of(face)) == face
+
+
+class TestMaskOfTable:
+    """Shape.mask_of reads vertices through its table and falls back to
+    Shape.bit; it must agree with the bit() path on every input."""
+
+    SHAPES = [(1,), (2, 2), (2, 0, 1), (0, 0), (3, 1, 2)]
+
+    @staticmethod
+    def as_vertex_like(item):
+        # Lists are unhashable; give the table tuples, Vertex and lists alike.
+        return tuple(item) if isinstance(item, list) else item
+
+    def test_valid_faces_in_every_spelling(self):
+        rng = random.Random(20261018)
+        for entries in self.SHAPES:
+            s = Shape(entries)
+            for _ in range(50):
+                face = rng.sample(s.vertices(), rng.randint(0, s.num_vertices))
+                want = mask_of_bits(s, face)
+                assert s.mask_of(face) == want
+                assert s.mask_of([tuple(v) for v in face]) == want
+                assert s.mask_of([list(v) for v in face]) == want
+                assert s.mask_of(iter(face)) == want
+
+    def test_odd_vertices_match_the_bit_path(self):
+        rng = random.Random(20261019)
+        for entries in self.SHAPES:
+            s = Shape(entries)
+            valid = list(s.vertices())
+            for odd in ODD_VERTICES:
+                for item in (odd, self.as_vertex_like(odd)):
+                    for _ in range(4):
+                        face = rng.sample(valid, rng.randint(0, len(valid)))
+                        face.insert(rng.randrange(len(face) + 1), item)
+                        want = outcome(mask_of_bits, s, face)
+                        assert outcome(s.mask_of, face) == want, (entries, face)
+                        # A one-pass iterator must give the same answer: the
+                        # fallback picks up at the odd vertex, not at the start.
+                        assert outcome(s.mask_of, iter(face)) == want, (entries, face)
+
+    def test_bool_and_float_vertices_read_as_today(self):
+        s = Shape((1, 1))
+        assert s.mask_of([(True, 0)]) == s.mask_of([(1.0, 0)]) == s.mask_of([V(1, 0)]) == 1
+        assert s.mask_of(["21"]) == 1 << s.bit(V(2, 1))
+        with pytest.raises(InvalidVertexError, match="does not live on shape"):
+            s.mask_of([(1, -1)])
+        with pytest.raises(InvalidVertexError, match="cannot read"):
+            s.mask_of([(1, 0, 0)])
 
 
 class TestConstruction:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from vcmkit import (
 )
 from vcmkit.documents import (
     DocumentError,
+    _read_masks,
     certificate_from_dict,
     certificate_to_dict,
     complex_document,
@@ -21,7 +23,7 @@ from vcmkit.documents import (
     parse_matrix_document,
     recheck_certificate,
 )
-from helpers import cx
+from helpers import cx, outcome, random_odd_faces, read_masks_oracle
 
 V = Vertex
 
@@ -96,6 +98,57 @@ class TestComplexDocuments:
             '{"shape": [2], "facets": [[[1, 0], [1, 1]]], '
             '"labels": {"p": [1, 0], "q": [1, 1]}}')
         assert labels == {"p": V(1, 0), "q": V(1, 1)}
+
+
+class TestReadMasksAgainstOracle:
+    """_read_masks reads faces through the shape's vertex table; the oracle
+    reads every vertex through _read_face.  Both must give equal masks or
+    the same DocumentError text."""
+
+    SHAPES = [(1,), (1, 1), (2, 0, 1), (0, 0), (3, 2)]
+
+    def test_seeded_malformed_faces(self):
+        rng = random.Random(20261018)
+        errors = 0
+        for entries in self.SHAPES:
+            shape = Shape(entries)
+            for _ in range(300):
+                faces = random_odd_faces(shape, rng, rng.randint(1, 4))
+                want = outcome(read_masks_oracle, faces, shape, "facets")
+                assert outcome(_read_masks, faces, shape, "facets") == want, (entries, faces)
+                errors += want[0] == "raise"
+        assert 300 < errors < 1200  # both outcomes are exercised
+
+    @pytest.mark.parametrize("face,message", [
+        ([[True, 0], [2, 0]], None),
+        ([[1, 0.0]], "facets[0][0]: expected a [component, index] integer pair, got [1, 0.0]"),
+        ([["1", 0]], "facets[0][0]: expected a [component, index] integer pair, got ['1', 0]"),
+        ([[1, 0, 0]], "facets[0][0]: expected a [component, index] integer pair, got [1, 0, 0]"),
+        ([[1, 0], [1, 0]], "facets[0]: repeated vertex"),
+        ([[True, 0], [1, 0]], "facets[0]: repeated vertex"),
+        ([[3, 0]], "facets[0][0]: vertex x_3_0 does not live on shape (1,1)"),
+        ([[1, 2]], "facets[0][0]: vertex x_1_2 does not live on shape (1,1)"),
+        ([[1, -1]], "facets[0][0]: vertex x_1_-1 does not live on shape (1,1)"),
+        ({"a": 1}, "facets[0]: expected a list of vertices"),
+        (3, "facets[0]: expected a list of vertices"),
+    ])
+    def test_named_cases(self, face, message):
+        shape = Shape((1, 1))
+        got = outcome(_read_masks, [face], shape, "facets")
+        assert got == outcome(read_masks_oracle, [face], shape, "facets")
+        if message is None:
+            assert got == ("ok", (0b101,))
+        else:
+            assert got == ("raise", DocumentError, message)
+
+    def test_order_read_from_masks(self):
+        data = certificate_to_dict(shelling_certificate())
+        data["evidence"]["order"][1] = [[1, 0], [1, 0]]
+        with pytest.raises(DocumentError, match=r"^evidence.order\[1\]: repeated vertex$"):
+            certificate_from_dict(data)
+        data["evidence"]["order"][1] = [[1, 0], [2, 9]]
+        with pytest.raises(DocumentError, match=r"^evidence.order\[1\]\[1\]: vertex x_2_9"):
+            certificate_from_dict(data)
 
 
 class TestMatrixDocuments:
