@@ -186,9 +186,16 @@ class Shape:
         table = self._vertex_table
         return frozenset([table[p] for p in _bits(mask)])
 
-    def bits_key(self, mask: int) -> tuple:
-        """Sort key putting faces in lexicographic vertex order."""
-        return tuple(_bits(mask))
+    def bits_key(self, mask: int) -> str:
+        """Sort key putting faces in lexicographic vertex order.
+
+        The key orders masks as the tuples of their bit positions do: the
+        binary digits lowest bit first, up to the top set bit, with 0 and 1
+        swapped.  At the first position where two masks differ the one
+        holding that bit has the smaller character, and a mask whose bits
+        are a prefix of another's gives a prefix of its key.
+        """
+        return format(mask, "b")[::-1].translate(_SWAP_BITS) if mask else ""
 
     def balanced_masks(self) -> tuple:
         """Masks of all faces with exactly one vertex in every component."""
@@ -207,6 +214,9 @@ class Shape:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(n) for n in self.entries) + ")"
+
+
+_SWAP_BITS = str.maketrans("01", "10")
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -162,6 +162,13 @@ def complex_document(delta: SimplicialComplex, labels=None) -> dict:
 
 
 def parse_matrix_document(text: str) -> FreeComplexPresentation:
+    """Read a matrix document into a presentation.
+
+    Each distinct cell text is parsed once per document, and cells with
+    equal text share one Polynomial (it has no in-place operation).  A
+    text that fails to parse is never stored, so the DocumentError names
+    the first cell that holds it.
+    """
     data = _load_json(text)
     if not isinstance(data, dict):
         raise DocumentError("top level: expected an object")
@@ -179,6 +186,7 @@ def parse_matrix_document(text: str) -> FreeComplexPresentation:
     raw_mats = data["matrices"]
     if not isinstance(raw_mats, list):
         raise DocumentError("matrices: expected a list")
+    parsed = {}  # cell text -> its Polynomial, for this document only
     matrices = []
     for k, mat in enumerate(raw_mats):
         if not isinstance(mat, list):
@@ -191,10 +199,13 @@ def parse_matrix_document(text: str) -> FreeComplexPresentation:
             for j, cell in enumerate(row):
                 if not isinstance(cell, str):
                     raise DocumentError(f"matrices[{k}][{i}][{j}]: expected a string")
-                try:
-                    entries.append(parse_polynomial(cell, shape))
-                except ValueError as exc:
-                    raise DocumentError(f"matrices[{k}][{i}][{j}]: {exc}") from None
+                poly = parsed.get(cell)
+                if poly is None:
+                    try:
+                        poly = parsed[cell] = parse_polynomial(cell, shape)
+                    except ValueError as exc:
+                        raise DocumentError(f"matrices[{k}][{i}][{j}]: {exc}") from None
+                entries.append(poly)
             rows.append(tuple(entries))
         matrices.append(tuple(rows))
     try:

@@ -9,7 +9,10 @@ as dropping the facets that miss a component, which is how `saturate_by_B`
 computes it.  `saturation_oracle` is the independent ideal-theoretic version
 used to cross-check that shortcut: it iterates the colon ideal on exponent
 vectors packed into one int each, so divisibility, colons and lcms are a few
-bit operations per pair.
+bit operations per pair.  Intersecting two ideals forms lcms only between
+generators that lie outside the other ideal: a generator that lies in the
+other ideal is a generator of the intersection on its own, and its lcms are
+its multiples.
 
 `ideal_of` and `complex_of` grow the face set layer by layer instead of
 walking all 2^n vertex subsets: a set whose facets are all faces is either
@@ -290,11 +293,6 @@ class _Packing(NamedTuple):
             total += (v & (self.ones << j)).bit_count() << j
         return total
 
-    def colon(self, a: int, b: int) -> int:
-        """Fieldwise max(a - b, 0): the generator of (a : b)."""
-        d = (a | self.guard) - b
-        return d & ((d & self.guard) >> (self.width - 1)) * ((1 << (self.width - 1)) - 1)
-
 
 def _minimalize(gens, packing: _Packing) -> list:
     """Divisibility-minimal generators, sorted by (degree, exponents).
@@ -317,12 +315,51 @@ def _minimalize(gens, packing: _Packing) -> list:
 
 
 def _colon_monomial(gens, b, packing: _Packing) -> list:
-    return _minimalize([packing.colon(g, b) for g in gens], packing)
+    # (g : b) is fieldwise max(g - b, 0): the guard bits left in
+    # d = (g | guard) - b mark the fields where g >= b, and the mask built
+    # from them keeps those fields of d and clears the others.
+    guard = packing.guard
+    shift = packing.width - 1
+    low = (1 << shift) - 1
+    return _minimalize([(d := (g | guard) - b) & ((d & guard) >> shift) * low for g in gens],
+                       packing)
 
 
-def _intersect(a_gens, b_gens, packing: _Packing) -> list:
-    # lcm(a, b) = b * (a : b): fieldwise max(a, b) = b + max(a - b, 0).
-    return _minimalize([b + packing.colon(a, b) for a in a_gens for b in b_gens], packing)
+def _intersect(a_gens, c_gens, packing: _Packing) -> list:
+    """Minimal generators of A ∩ C, from the generators of A and of C.
+
+    A ∩ C is generated by the lcms of all pairs.  A generator of one ideal
+    that lies in the other is itself in A ∩ C, and all of its lcms are its
+    multiples, so it stands for all of them; lcms are formed only between
+    the generators that lie outside the other ideal.
+    """
+    guard = packing.guard
+    shift = packing.width - 1
+    low = (1 << shift) - 1
+    kept = []
+
+    def outside(gens, other):
+        # g lies in the ideal of `other` iff some h there divides it.
+        out = []
+        for g in gens:
+            lifted = g | guard
+            for h in other:
+                if (lifted - h) & guard == guard:
+                    kept.append(g)
+                    break
+            else:
+                out.append(g)
+        return out
+
+    a_out = outside(a_gens, c_gens)
+    c_out = outside(c_gens, a_gens)
+    # lcm(a, c) = c + (a : c): fieldwise max(a, c) = c + max(a - c, 0).
+    for a in a_out:
+        lifted = a | guard
+        for c in c_out:
+            d = lifted - c
+            kept.append(c + (d & ((d & guard) >> shift) * low))
+    return _minimalize(kept, packing)
 
 
 def saturation_oracle(ideal_gens: Sequence, b_gens: Sequence,

@@ -52,7 +52,9 @@ class Polynomial:
     """Sparse multivariate polynomial with integer coefficients.
 
     Terms map exponent tuples to nonzero coefficients; construction merges
-    duplicates and drops zeros, so equality is plain dict equality.
+    duplicates and drops zeros, so equality is plain dict equality.  No
+    operation changes a Polynomial in place, so one object can stand in
+    several matrix cells.
     """
 
     __slots__ = ("nvars", "terms")

@@ -34,9 +34,10 @@ from vcmkit import (
     verify_shelling,
 )
 from vcmkit.complexes import format_face
-from vcmkit.documents import _read_face
+from vcmkit.documents import DocumentError, _load_json, _read_face, _read_shape
 from vcmkit.linalg import gf2_rank, integer_rank, rank_mod_p
-from vcmkit.vres import BUDGET_EXCEEDED, CERTIFIED, DEFAULT_FIELD, EXHAUSTED
+from vcmkit.stanley_reisner import _minimalize
+from vcmkit.vres import BUDGET_EXCEEDED, CERTIFIED, DEFAULT_FIELD, EXHAUSTED, parse_polynomial
 
 
 def cx(entries, *facets):
@@ -598,6 +599,18 @@ def saturation_oracle_tuples(ideal_gens, b_gens, degree_bound=None):
         current = quotient
 
 
+def intersect_pairwise(a_gens, c_gens, packing):
+    """stanley_reisner._intersect forming the lcm of every pair, through
+    the colon on packed ints: lcm(a, c) = c + fieldwise max(a - c, 0)."""
+    guard, width = packing.guard, packing.width
+
+    def colon(a, b):
+        d = (a | guard) - b
+        return d & ((d & guard) >> (width - 1)) * ((1 << (width - 1)) - 1)
+
+    return _minimalize([c + colon(a, c) for a in a_gens for c in c_gens], packing)
+
+
 def compose_failures_dense(pres):
     """Positions (pair k, row, col) where matrices[k] @ matrices[k+1] is
     nonzero, summing every product, zero entries included, as Polynomials."""
@@ -727,6 +740,55 @@ def read_masks_oracle(data, shape, path):
             mask |= 1 << (offsets[v.component - 1] + v.index)
         masks.append(mask)
     return tuple(masks)
+
+
+def parse_matrix_document_per_cell(text):
+    """documents.parse_matrix_document parsing every cell on its own, with
+    no memo of the texts already read."""
+    data = _load_json(text)
+    if not isinstance(data, dict):
+        raise DocumentError("top level: expected an object")
+    unknown = set(data) - {"shape", "ranks", "matrices"}
+    if unknown:
+        raise DocumentError(f"unknown keys: {', '.join(sorted(unknown))}")
+    for key in ("shape", "ranks", "matrices"):
+        if key not in data:
+            raise DocumentError(f"missing key: {key}")
+    shape = _read_shape(data["shape"])
+    ranks = data["ranks"]
+    if (not isinstance(ranks, list)
+            or not all(isinstance(x, int) and x >= 0 for x in ranks)):
+        raise DocumentError("ranks: expected a list of non-negative integers")
+    raw_mats = data["matrices"]
+    if not isinstance(raw_mats, list):
+        raise DocumentError("matrices: expected a list")
+    matrices = []
+    for k, mat in enumerate(raw_mats):
+        if not isinstance(mat, list):
+            raise DocumentError(f"matrices[{k}]: expected a list of rows")
+        rows = []
+        for i, row in enumerate(mat):
+            if not isinstance(row, list):
+                raise DocumentError(f"matrices[{k}][{i}]: expected a list of entries")
+            entries = []
+            for j, cell in enumerate(row):
+                if not isinstance(cell, str):
+                    raise DocumentError(f"matrices[{k}][{i}][{j}]: expected a string")
+                try:
+                    entries.append(parse_polynomial(cell, shape))
+                except ValueError as exc:
+                    raise DocumentError(f"matrices[{k}][{i}][{j}]: {exc}") from None
+            rows.append(tuple(entries))
+        matrices.append(tuple(rows))
+    try:
+        return FreeComplexPresentation(shape, tuple(ranks), tuple(matrices))
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
+
+
+def bits_key_tuple(mask):
+    """Shape.bits_key as the tuple of the mask's bit positions, ascending."""
+    return tuple(p for p in range(mask.bit_length()) if mask >> p & 1)
 
 
 def mask_of_bits(shape, face):

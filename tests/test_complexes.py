@@ -14,6 +14,7 @@ from vcmkit import (
 )
 from helpers import (
     ODD_VERTICES,
+    bits_key_tuple,
     cx,
     faces_bruteforce,
     link_bruteforce,
@@ -73,6 +74,20 @@ class TestShape:
         assert len(Shape((2, 1)).balanced_masks()) == 6
         assert len(Shape((2, 2)).balanced_masks()) == 9
         assert Shape((0, 0)).balanced_masks() == (0b11,)
+
+    def test_bits_key_orders_as_the_bit_tuples(self):
+        # Seeded masks of mixed sizes, with 0, prefixes of one another and
+        # masks of up to 70 bits: sorting by the string key and by the tuple
+        # of bit positions gives one order, and equal keys mean equal masks.
+        s = Shape((2, 2))
+        rng = random.Random(20261018)
+        masks = [0, 1, 2, 3, 5, 1 << 69, (1 << 70) - 1]
+        for _ in range(3000):
+            m = rng.getrandbits(rng.randint(1, 70))
+            masks += [m, m & ((1 << rng.randint(0, m.bit_length())) - 1)]
+        assert sorted(masks, key=s.bits_key) == sorted(masks, key=bits_key_tuple)
+        assert len({s.bits_key(m) for m in masks}) == len(set(masks))
+        assert s.bits_key(0) == ""
 
     def test_mask_face_round_trip(self):
         s = Shape((2, 2))

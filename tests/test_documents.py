@@ -23,7 +23,16 @@ from vcmkit.documents import (
     parse_matrix_document,
     recheck_certificate,
 )
-from helpers import cx, outcome, random_odd_faces, read_masks_oracle
+from helpers import (
+    cx,
+    flip_one_entry,
+    koszul_presentation,
+    outcome,
+    parse_matrix_document_per_cell,
+    random_odd_faces,
+    random_presentation,
+    read_masks_oracle,
+)
 
 V = Vertex
 
@@ -187,6 +196,58 @@ class TestMatrixDocuments:
     def test_serialisation_is_deterministic(self, c34):
         assert dumps(matrix_document(c34.presentation)) == dumps(
             matrix_document(c34.presentation))
+
+
+class TestMatrixParseAgainstPerCell:
+    """parse_matrix_document, which parses each distinct cell text once,
+    against parsing every cell on its own."""
+
+    @staticmethod
+    def presentations():
+        rng = random.Random(20261018)
+        for entries in [(1, 1), (2, 1), (2, 2, 1)]:
+            shape = Shape(entries)
+            for _ in range(4):
+                n = shape.num_vertices
+                pres = koszul_presentation(shape, rng.sample(range(n), rng.randint(1, min(n, 5))))
+                yield pres
+                yield flip_one_entry(pres, rng)
+            for _ in range(8):
+                yield random_presentation(shape, rng)
+
+    def test_seeded_documents(self):
+        count = 0
+        for pres in self.presentations():
+            text = dumps(matrix_document(pres))
+            parsed = parse_matrix_document(text)
+            assert parsed == parse_matrix_document_per_cell(text) == pres
+            count += 1
+        assert count == 48
+
+    def test_equal_texts_share_one_polynomial(self):
+        pres = koszul_presentation(Shape((2, 1)), [0, 1, 3])
+        cells = [cell for mat in parse_matrix_document(dumps(matrix_document(pres)))
+                 .matrices for row in mat for cell in row]
+        assert len({id(c) for c in cells}) == len({repr(c) for c in cells}) < len(cells)
+
+    def test_repeated_bad_cell_names_its_first_position(self):
+        rng = random.Random(89)
+        bad_texts = ["y", "x_9_0", "x_1_0+", "--1", "x_1_0**2", " ", "", 7, None, ["0"]]
+        for _ in range(300):
+            pres = koszul_presentation(Shape((2, 1)), rng.sample(range(5), rng.randint(2, 4)))
+            doc = matrix_document(pres)
+            cells = [(k, i, j) for k, mat in enumerate(doc["matrices"])
+                     for i, row in enumerate(mat) for j, _ in enumerate(row)]
+            bad = rng.choice(bad_texts)
+            for k, i, j in rng.sample(cells, min(len(cells), rng.randint(1, 4))):
+                doc["matrices"][k][i][j] = bad
+            if rng.random() < 0.3:
+                k, i, j = rng.choice(cells)
+                doc["matrices"][k][i][j] = rng.choice(bad_texts)
+            text = json.dumps(doc)
+            got = outcome(parse_matrix_document, text)
+            assert got[0] == "raise" and got[1] is DocumentError
+            assert got == outcome(parse_matrix_document_per_cell, text)
 
 
 def shelling_certificate():

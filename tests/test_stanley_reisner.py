@@ -20,7 +20,7 @@ from vcmkit import (
     saturation_oracle,
 )
 from vcmkit import complexes, homology
-from vcmkit.stanley_reisner import is_saturated
+from vcmkit.stanley_reisner import _intersect, _minimalize, _Packing, is_saturated
 from helpers import (
     antichains_nonvoid,
     complex_of_table,
@@ -28,6 +28,7 @@ from helpers import (
     cx,
     exponent_vectors,
     ideal_of_walk,
+    intersect_pairwise,
     minimal_generators_pairwise,
     minimal_nonfaces_bruteforce,
     prime_components,
@@ -510,3 +511,47 @@ class TestSaturationOracleAgainstTuples:
             assert back == d and set(back.facet_masks) == set(complex_of_table(ideal))
             gens = exponent_vectors(ideal)
             assert saturation_oracle(gens, b) == saturation_oracle_tuples(gens, b)
+
+
+def _random_packed_ideal(rng, packing, size):
+    """Minimal generators of an ideal of up to `size` random exponent
+    vectors (entries 0-3), packed."""
+    vecs = [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(packing.nvars))
+            for _ in range(size)]
+    return _minimalize([packing.pack(v) for v in vecs], packing)
+
+
+class TestIntersectAgainstPairwise:
+    """_intersect, which skips the lcms of generators lying in the other
+    ideal, against the lcm of every pair."""
+
+    def same(self, a, c, packing):
+        want = intersect_pairwise(a, c, packing)
+        assert _intersect(a, c, packing) == want
+        assert _intersect(c, a, packing) == want
+        return want
+
+    def test_random_ideals(self):
+        rng = random.Random(20261018)
+        for _ in range(600):
+            packing = _Packing.for_exponents(rng.randint(1, 6), 3)
+            a = _random_packed_ideal(rng, packing, rng.randint(0, 6))
+            c = _random_packed_ideal(rng, packing, rng.randint(0, 6))
+            self.same(a, c, packing)
+
+    def test_containment_equality_unit_and_empty(self):
+        rng = random.Random(83)
+        for _ in range(200):
+            packing = _Packing.for_exponents(rng.randint(1, 5), 3)
+            a = _random_packed_ideal(rng, packing, rng.randint(1, 5))
+            # c lies inside a: each generator of c is a multiple of one of a.
+            c = _minimalize([g + packing.pack(
+                [rng.randint(0, 3 - e) for e in packing.unpack(g)]) for g in a], packing)
+            assert self.same(a, c, packing) == c
+            assert self.same(a, a, packing) == a
+            assert self.same(a, [0], packing) == a
+            assert self.same(a, [], packing) == []
+        packing = _Packing.for_exponents(3, 1)
+        assert self.same([0], [0], packing) == [0]
+        assert self.same([0], [], packing) == []
+        assert self.same([], [], packing) == []
