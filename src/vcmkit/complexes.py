@@ -350,23 +350,33 @@ class SimplicialComplex:
         return SimplicialComplex(self.shape, self.relevant_facet_masks())
 
     def gallery_connected(self) -> bool:
-        """Facet-ridge connectivity of a pure complex."""
+        """Facet-ridge connectivity of a pure complex.
+
+        Two facets of a pure complex are adjacent iff they share a ridge, so
+        each facet is joined to the first facet seen with each of its
+        ridges, in one union-find pass.
+        """
         if not self.is_pure():
             raise ValueError("gallery-connectedness is only defined for pure complexes")
-        m = len(self.facet_masks)
-        if m <= 1:
-            return True
-        size = _popcount(self.facet_masks[0])
-        seen = {0}
-        stack = [0]
-        while stack:
-            a = stack.pop()
-            fa = self.facet_masks[a]
-            for b in range(m):
-                if b not in seen and _popcount(fa & self.facet_masks[b]) == size - 1:
-                    seen.add(b)
-                    stack.append(b)
-        return len(seen) == m
+        parent = list(range(len(self.facet_masks)))
+
+        def root(i):
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            return i
+
+        parts = len(parent)
+        first = {}
+        for i, f in enumerate(self.facet_masks):
+            rest = f
+            while rest:
+                u = rest & -rest
+                rest ^= u
+                a, b = root(i), root(first.setdefault(f ^ u, i))
+                if a != b:
+                    parent[a] = b
+                    parts -= 1
+        return parts <= 1
 
     def __str__(self) -> str:
         if self.is_void:

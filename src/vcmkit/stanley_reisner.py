@@ -9,10 +9,23 @@ as dropping the facets that miss a component, which is how `saturate_by_B`
 computes it.  `saturation_oracle` is the independent ideal-theoretic version
 used to cross-check that shortcut: it iterates the colon ideal on exponent
 vectors packed into one int each, so divisibility, colons and lcms are a few
-bit operations per pair.  Intersecting two ideals forms lcms only between
-generators that lie outside the other ideal: a generator that lies in the
-other ideal is a generator of the intersection on its own, and its lcms are
-its multiples.
+bit operations per pair.  Three monomial-ideal facts keep the iteration
+cheap without changing any intermediate ideal:
+
+- (I : uv) = ((I : u) : v), so each b in B is split into single-variable
+  powers in variable order, and the colon by each prefix is computed once
+  per pass and shared by every b that starts with it; the balanced
+  generators of B share most of their prefixes.  Colon by one variable's
+  power changes only the generators that use the variable, so only those
+  are minimalised, and then each untouched generator is tested against them.
+- Intersecting two ideals forms lcms only between generators that lie
+  outside the other ideal: a generator that lies in the other ideal is a
+  generator of the intersection on its own, its lcms are its multiples,
+  and it is already minimal there (a proper divisor in the intersection
+  would lie in its own ideal), so only the lcms are minimalised.
+- Minimal generators are unique, so every intermediate ideal, its sorted
+  generator list and the degree checked against the bound are the same as
+  for a plain colon-by-colon iteration.
 
 `ideal_of` and `complex_of` grow the face set layer by layer instead of
 walking all 2^n vertex subsets: a set whose facets are all faces is either
@@ -107,9 +120,6 @@ class IrrelevantIdealB:
     @property
     def generators(self) -> tuple:
         return tuple(self.shape.face_from_mask(m) for m in self.generator_masks)
-
-    def as_ideal(self) -> SqfIdeal:
-        return SqfIdeal(self.shape, self.generator_masks)
 
 
 def _grow_faces(full: int, nonfaces) -> Iterator[tuple]:
@@ -294,6 +304,17 @@ class _Packing(NamedTuple):
         return total
 
 
+def _by_degree(gens: list, packing: _Packing) -> list:
+    """Sort packed generators in place by (degree, exponents).
+
+    Sorts by int, then stably by degree: with one value bit per field the
+    degree is the popcount, so both sorts run in C.
+    """
+    gens.sort()
+    gens.sort(key=int.bit_count if packing.width == 2 else packing.degree)
+    return gens
+
+
 def _minimalize(gens, packing: _Packing) -> list:
     """Divisibility-minimal generators, sorted by (degree, exponents).
 
@@ -310,42 +331,69 @@ def _minimalize(gens, packing: _Packing) -> list:
                 break
         else:
             kept.append(g)
-    kept.sort(key=lambda v: (packing.degree(v), v))
-    return kept
+    return _by_degree(kept, packing)
 
 
-def _colon_monomial(gens, b, packing: _Packing) -> list:
-    # (g : b) is fieldwise max(g - b, 0): the guard bits left in
-    # d = (g | guard) - b mark the fields where g >= b, and the mask built
-    # from them keeps those fields of d and clears the others.
+def _colon_power(gens, power: int, field: int, packing: _Packing) -> list:
+    """Minimal generators of (G) : power, for G minimal and one variable's power.
+
+    `field` masks that variable's field.  A generator g without the
+    variable is unchanged, and it divides no colon (g' : power): g would
+    then be a proper divisor of g'.  So the unchanged generators stay
+    minimal; only the colons are minimalised, and each unchanged generator
+    is dropped if a colon divides it.  With one value bit per field the
+    colons are g' minus the variable, so none divides another.
+    """
     guard = packing.guard
-    shift = packing.width - 1
-    low = (1 << shift) - 1
-    return _minimalize([(d := (g | guard) - b) & ((d & guard) >> shift) * low for g in gens],
-                       packing)
+    moved, fixed = [], []
+    for g in gens:
+        e = g & field
+        if e:
+            moved.append(g - (power if e >= power else e))
+        else:
+            fixed.append(g)
+    if packing.width != 2:
+        moved = _minimalize(moved, packing)
+    out = list(moved)
+    for g in fixed:
+        lifted = g | guard
+        for k in moved:
+            if (lifted - k) & guard == guard:
+                break
+        else:
+            out.append(g)
+    return _by_degree(out, packing)
 
 
 def _intersect(a_gens, c_gens, packing: _Packing) -> list:
-    """Minimal generators of A ∩ C, from the generators of A and of C.
+    """Minimal generators of A ∩ C, from the minimal generators of A and of C.
 
     A ∩ C is generated by the lcms of all pairs.  A generator of one ideal
     that lies in the other is itself in A ∩ C, and all of its lcms are its
     multiples, so it stands for all of them; lcms are formed only between
-    the generators that lie outside the other ideal.
+    the generators that lie outside the other ideal.  Such a kept generator
+    is already minimal in A ∩ C, since a proper divisor there would lie in
+    its own ideal, and no lcm divides it (the lcm's factor from the same
+    ideal would).  So only the lcms are minimalised, against each other and
+    against the kept generators; a generator of both A and C is kept once.
     """
     guard = packing.guard
     shift = packing.width - 1
     low = (1 << shift) - 1
-    kept = []
+    kept = set()
 
     def outside(gens, other):
         # g lies in the ideal of `other` iff some h there divides it.
+        listed = set(other)
         out = []
         for g in gens:
+            if g in listed:
+                kept.add(g)
+                continue
             lifted = g | guard
             for h in other:
                 if (lifted - h) & guard == guard:
-                    kept.append(g)
+                    kept.add(g)
                     break
             else:
                 out.append(g)
@@ -353,13 +401,25 @@ def _intersect(a_gens, c_gens, packing: _Packing) -> list:
 
     a_out = outside(a_gens, c_gens)
     c_out = outside(c_gens, a_gens)
-    # lcm(a, c) = c + (a : c): fieldwise max(a, c) = c + max(a - c, 0).
-    for a in a_out:
-        lifted = a | guard
-        for c in c_out:
-            d = lifted - c
-            kept.append(c + (d & ((d & guard) >> shift) * low))
-    return _minimalize(kept, packing)
+    gens = list(kept)
+    if a_out and c_out:
+        # lcm(a, c) = c + (a : c): fieldwise max(a, c) = c + max(a - c, 0).
+        lcms = set()
+        for a in a_out:
+            lifted = a | guard
+            for c in c_out:
+                d = lifted - c
+                lcms.add(c + (d & ((d & guard) >> shift) * low))
+        # Int order is a linear extension of divisibility, so each lcm is
+        # tested against the kept generators and the smaller lcms kept.
+        for g in sorted(lcms):
+            lifted = g | guard
+            for k in gens:
+                if (lifted - k) & guard == guard:
+                    break
+            else:
+                gens.append(g)
+    return _by_degree(gens, packing)
 
 
 def saturation_oracle(ideal_gens: Sequence, b_gens: Sequence,
@@ -370,7 +430,14 @@ def saturation_oracle(ideal_gens: Sequence, b_gens: Sequence,
     generators b of B until it stabilises, independently of the facet
     shortcut in `saturate_by_B`.  The exponent vectors are packed into ints
     for the iteration, so divisibility, colons and lcms are a few bit
-    operations each, for any exponent size.  Intermediate generators whose
+    operations each, for any exponent size.  Each b is a product of
+    single-variable powers in variable order, and (I : uv) = ((I : u) : v),
+    so within one pass the colon by each prefix is kept in a dict, shared
+    by the generators of B that start with it and dropped when the pass
+    ends; it holds at most one ideal per distinct prefix.  Intersections
+    minimalise only the lcms they form (see `_intersect`).  Minimal
+    generators are unique, so each pass builds the same intermediate
+    ideals as a colon-by-colon iteration.  Intermediate generators whose
     total degree exceeds `degree_bound` (default: number of variables, which
     is safe for squarefree inputs) abort with DegreeBoundError.  Returns the
     minimal generators as tuples sorted by (degree, exponents); the unit
@@ -399,12 +466,35 @@ def saturation_oracle(ideal_gens: Sequence, b_gens: Sequence,
                 f"intermediate generator of degree {worst} exceeds bound {degree_bound}")
         return gens
 
-    b_packed = [packing.pack(b) for b in b_gens]
+    # Each b as the chain of its prefixes: its single-variable powers
+    # accumulated in variable order, each with the power that extends it
+    # and the mask of that power's field.
+    field = (1 << packing.width - 1) - 1
+    chains = []
+    for b in b_gens:
+        prefix, chain = 0, []
+        for i, e in enumerate(b):
+            if e:
+                shift = (nvars - 1 - i) * packing.width
+                prefix |= e << shift
+                chain.append((prefix, e << shift, field << shift))
+        chains.append(chain)
+
+    def colon(chain, memo):
+        # memo maps each prefix met in this pass to the colon by it.
+        prev = 0
+        for prefix, power, mask in chain:
+            if prefix not in memo:
+                memo[prefix] = _colon_power(memo[prev], power, mask, packing)
+            prev = prefix
+        return memo[prev]
+
     current = check(_minimalize([packing.pack(g) for g in ideal_gens], packing))
     while True:
-        quotient = check(_colon_monomial(current, b_packed[0], packing))
-        for b in b_packed[1:]:
-            quotient = check(_intersect(quotient, _colon_monomial(current, b, packing), packing))
+        memo = {0: current}
+        quotient = check(colon(chains[0], memo))
+        for chain in chains[1:]:
+            quotient = check(_intersect(quotient, colon(chain, memo), packing))
         if quotient == current:
             return [packing.unpack(v) for v in current]
         current = quotient

@@ -22,6 +22,7 @@ from vcmkit import (
     SearchOutcome,
     Shape,
     SimplicialComplex,
+    SqfIdeal,
     Vertex,
     balanced_vcm_certificate,
     certify_vcm_via_union,
@@ -541,6 +542,31 @@ def prime_components(delta):
         comp = full & ~f
         out.append(PrimeComponent(shape.face_from_mask(comp), comp.bit_count()))
     return tuple(out)
+
+
+def irrelevant_as_ideal(b):
+    """The irrelevant ideal B as a squarefree monomial ideal."""
+    return SqfIdeal(b.shape, b.generator_masks)
+
+
+def gallery_connected_pairwise(delta):
+    """SimplicialComplex.gallery_connected by comparing every pair of
+    facets: a depth-first walk over facets sharing a ridge."""
+    if not delta.is_pure():
+        raise ValueError("gallery-connectedness is only defined for pure complexes")
+    masks = delta.facet_masks
+    if len(masks) <= 1:
+        return True
+    size = masks[0].bit_count()
+    seen = {0}
+    stack = [0]
+    while stack:
+        fa = masks[stack.pop()]
+        for b in range(len(masks)):
+            if b not in seen and (fa & masks[b]).bit_count() == size - 1:
+                seen.add(b)
+                stack.append(b)
+    return len(seen) == len(masks)
 
 
 def _divides(a, b):

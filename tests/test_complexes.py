@@ -9,14 +9,17 @@ from vcmkit import (
     Shape,
     SimplicialComplex,
     Vertex,
+    irrelevant_complex,
     is_relevant,
     union,
 )
 from helpers import (
     ODD_VERTICES,
+    antichains_nonvoid,
     bits_key_tuple,
     cx,
     faces_bruteforce,
+    gallery_connected_pairwise,
     link_bruteforce,
     mask_of_bits,
     maximal_masks_pairwise,
@@ -355,6 +358,34 @@ class TestGallery:
                 seen.update(nxt)
                 frontier = nxt
             assert d.gallery_connected() == (len(seen) == len(fs))
+
+    def test_against_pairwise_on_all_pure_five_vertex_complexes(self):
+        shape = Shape((4,))
+        cases = [SimplicialComplex(shape, masks) for masks in antichains_nonvoid(5)]
+        cases.append(SimplicialComplex(shape, (0,)))
+        verdicts = set()
+        for d in cases:
+            if d.is_pure():
+                want = gallery_connected_pairwise(d)
+                assert d.gallery_connected() == want
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_against_pairwise_on_seeded_unions(self):
+        rng = random.Random(20261018)
+        verdicts = set()
+        for entries in [(1, 1, 1), (2, 2, 2), (3, 3, 2), (2, 2, 1, 1)]:
+            shape = Shape(entries)
+            grid = shape.balanced_masks()
+            top = min(12, len(grid))
+            for _ in range(8):
+                a, b = (SimplicialComplex(shape, tuple(rng.sample(grid, rng.randint(1, top))))
+                        for _ in range(2))
+                for d in (a, union(a, b), union(a, irrelevant_complex(shape))):
+                    want = gallery_connected_pairwise(d)
+                    assert d.gallery_connected() == want
+                    verdicts.add(want)
+        assert verdicts == {True, False}
 
 
 class TestRelabelling:

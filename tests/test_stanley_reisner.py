@@ -29,6 +29,7 @@ from helpers import (
     exponent_vectors,
     ideal_of_walk,
     intersect_pairwise,
+    irrelevant_as_ideal,
     minimal_generators_pairwise,
     minimal_nonfaces_bruteforce,
     prime_components,
@@ -299,7 +300,7 @@ class TestIrrelevantIdeal:
         }
 
     def test_as_ideal(self):
-        ideal = IrrelevantIdealB(Shape((0, 0))).as_ideal()
+        ideal = irrelevant_as_ideal(IrrelevantIdealB(Shape((0, 0))))
         assert ideal.generator_masks == (0b11,)
 
 
@@ -512,6 +513,33 @@ class TestSaturationOracleAgainstTuples:
             gens = exponent_vectors(ideal)
             assert saturation_oracle(gens, b) == saturation_oracle_tuples(gens, b)
 
+    def test_product_structured_b(self):
+        # Balanced grids share their prefixes in variable order, so most
+        # colons come from the per-pass memo, which hands out shared lists.
+        rng = random.Random(20261019)
+        outcomes = set()
+        for entries in [(1, 1), (2, 1), (1, 1, 1), (2, 2)]:
+            shape = Shape(entries)
+            n = shape.num_vertices
+            grid = [[m >> i & 1 for i in range(n)] for m in shape.balanced_masks()]
+            for _ in range(80):
+                top = rng.choice((1, 3, 9))
+                ideal = [[rng.randint(0, top) if rng.random() < 0.4 else 0 for _ in range(n)]
+                         for _ in range(rng.randint(0, 8))]
+                power = rng.choice((1, 1, 2))
+                b = [[e * power for e in v] for v in grid]
+                b += [list(v) for v in rng.sample(b, rng.randint(0, 3))]
+                if rng.random() < 0.2:
+                    b.append([0] * n)
+                rng.shuffle(b)
+                bound = rng.choice([None, 3 * n, rng.randint(0, 3 * n)])
+                ideal_before = [list(v) for v in ideal]
+                b_before = [list(v) for v in b]
+                want = _same_as_tuples(ideal, b, degree_bound=bound)
+                assert ideal == ideal_before and b == b_before
+                outcomes.add(want[0] if isinstance(want, tuple) else len(want) > 1)
+        assert {True, False, DegreeBoundError} <= outcomes
+
 
 def _random_packed_ideal(rng, packing, size):
     """Minimal generators of an ideal of up to `size` random exponent
@@ -538,6 +566,10 @@ class TestIntersectAgainstPairwise:
             a = _random_packed_ideal(rng, packing, rng.randint(0, 6))
             c = _random_packed_ideal(rng, packing, rng.randint(0, 6))
             self.same(a, c, packing)
+            # Generators of both A and C come out once.
+            shared = _minimalize(a[:len(a) // 2 + 1] + c, packing)
+            got = self.same(a, shared, packing)
+            assert len(got) == len(set(got))
 
     def test_containment_equality_unit_and_empty(self):
         rng = random.Random(83)
