@@ -3,7 +3,6 @@ complexes on products of projective spaces."""
 
 from .complexes import (
     Face,
-    FaceNotInComplexError,
     InvalidVertexError,
     Shape,
     SimplicialComplex,
@@ -38,6 +37,7 @@ from .shelling import (
     irrelevant_complex,
     irrelevant_shelling_order,
     verify_shelling,
+    verify_shelling_masks,
 )
 from .stanley_reisner import (
     DegreeBoundError,

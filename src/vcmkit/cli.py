@@ -16,8 +16,10 @@ import os
 import sys
 import time
 
+from .complexes import Shape
 from .documents import (
     DocumentError,
+    _face_lists,
     certificate_to_dict,
     complex_document,
     face_to_json,
@@ -57,21 +59,85 @@ def _load_complex(path):
     return delta, labels, digest
 
 
+class _FaceMasks:
+    """A report's list of faces, kept as masks on `shape` until it is written.
+
+    `_dump` writes it from the masks; `_human_lines` prints it as the plain
+    list of faces, each a sorted list of [component, index] pairs, that
+    `documents.certificate_to_dict` builds by default.
+    """
+
+    __slots__ = ("shape", "masks")
+
+    def __init__(self, shape: Shape, masks: tuple):
+        self.shape, self.masks = shape, masks
+
+    def as_json(self) -> list:
+        return _face_lists(self.shape, self.masks)
+
+
+def _vertex_fragments(shape: Shape, pad: str) -> tuple:
+    """The text of each vertex of `shape` inside a face list written at `pad`.
+
+    Two dicts keyed by the vertex's one-bit mask: the fragment of a face's
+    first vertex, which follows the face's opening bracket, and that of any
+    later vertex, which starts with the separating comma.
+    """
+    vertex_pad = pad + "    "
+    int_pad = vertex_pad + "  "
+    first, later = {}, {}
+    for p, (c, j) in enumerate(shape._vertex_table):
+        text = f"\n{vertex_pad}[\n{int_pad}{c},\n{int_pad}{j}\n{vertex_pad}]"
+        first[1 << p] = text
+        later[1 << p] = "," + text
+    return first, later
+
+
 def _dump(data) -> str:
     """The report as indent-2 JSON with sorted keys and a final newline.
 
     The bytes are those of ``json.dumps(data, indent=2, sort_keys=True)``
     plus the newline, whose indent makes json fall back to its pure-Python
-    encoder.  This writer lays out dicts and lists itself and leaves every
-    scalar and key to the C encoder.  Lists of exact ints (the vertex pairs,
-    mostly) are rendered once per (values, indent) and reused; bools are
-    kept out of that memo, since (True, 0) == (1, 0).  Data with a
-    non-string key, or with a value no encoder can write, goes to json.dumps
-    whole, which converts such keys or raises its own TypeError.
+    encoder, with every `_FaceMasks` written as the list its `as_json` gives.
+    This writer lays out dicts and lists itself and leaves every scalar and
+    key to the C encoder.  Lists of exact ints (the vertex pairs, mostly)
+    are rendered once per (values, indent) and reused; bools are kept out of
+    that memo, since (True, 0) == (1, 0).  A `_FaceMasks` of nonempty faces
+    is written from its masks, one fragment per vertex from a table built
+    once per (shape, indent) by `_vertex_fragments`, so no face becomes a
+    list.  Data with a non-string key, or with a value no encoder can write,
+    goes to json.dumps whole, which converts such keys or raises its own
+    TypeError; reports holding a `_FaceMasks` have neither.
     """
     scalar = json.JSONEncoder().encode
     memo = {}
+    fragments = {}
     out = []
+
+    def write_faces(faces, pad):
+        masks = faces.masks
+        if not masks or 0 in masks:
+            write(faces.as_json(), pad)
+            return
+        key = (faces.shape.entries, pad)
+        if key not in fragments:
+            fragments[key] = _vertex_fragments(faces.shape, pad)
+        first, later = fragments[key]
+        append = out.append
+        face_pad = pad + "  "
+        sep = "[\n" + face_pad + "["
+        between = "\n" + face_pad + "],\n" + face_pad + "["
+        for m in masks:
+            low = m & -m
+            append(sep)
+            append(first[low])
+            m ^= low
+            while m:
+                low = m & -m
+                append(later[low])
+                m ^= low
+            sep = between
+        append("\n" + face_pad + "]\n" + pad + "]")
 
     def write(obj, pad):
         if isinstance(obj, dict):
@@ -107,6 +173,8 @@ def _dump(data) -> str:
                 write(item, inner)
                 sep = ",\n" + inner
             out.append("\n" + pad + "]")
+        elif isinstance(obj, _FaceMasks):
+            write_faces(obj, pad)
         else:
             out.append(scalar(obj))
 
@@ -119,6 +187,8 @@ def _dump(data) -> str:
 
 
 def _human_lines(obj, prefix=""):
+    if isinstance(obj, _FaceMasks):
+        obj = obj.as_json()
     if isinstance(obj, dict):
         for key in sorted(obj):
             yield from _human_lines(obj[key], f"{prefix}{key}.")
@@ -220,12 +290,12 @@ def cmd_certify_balanced(args):
         "command": "certify-balanced",
         "digest": digest,
         "field": field_label(field),
-        "certificate": certificate_to_dict(cert),
+        "certificate": certificate_to_dict(cert, face_list=_FaceMasks),
         "verdicts": {
             "codim": cert.codim,
             "pdim": cert.codim,
             "pdim_equals_codim": True,
-            "order_length": len(cert.evidence.order),
+            "order_length": len(cert.evidence.order_masks),
         },
     }
     return report, EXIT_OK

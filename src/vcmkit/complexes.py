@@ -9,7 +9,7 @@ past 64 vertices for free.
 
 A complex is an immutable antichain of facet masks.  Construction normalises
 (absorbs dominated faces, dedupes, sorts canonically), so every derived
-complex produced by ``link``/``restriction``/... is again in canonical form.
+complex built from masks (a union, a saturation) is again in canonical form.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ Face = frozenset  # of Vertex
 
 class InvalidVertexError(ValueError):
     """A vertex lies outside the ambient shape."""
-
-
-class FaceNotInComplexError(ValueError):
-    """An operation required a face the complex does not contain."""
 
 
 class VertexLimitError(ValueError):
@@ -278,7 +274,7 @@ class SimplicialComplex:
     def facets(self) -> tuple:
         return tuple(self.shape.face_from_mask(m) for m in self.facet_masks)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         """Dimension, or None for the void complex."""
         if self.is_void:
@@ -315,25 +311,6 @@ class SimplicialComplex:
             raise ValueError("purity is undefined for the void complex")
         sizes = {_popcount(m) for m in self.facet_masks}
         return len(sizes) == 1
-
-    # -- derived complexes ------------------------------------------------
-
-    def link(self, face) -> "SimplicialComplex":
-        sigma = self.shape.mask_of(face)
-        if not self.has_face_mask(sigma):
-            raise FaceNotInComplexError(f"{format_face(face)} is not a face")
-        masks = tuple(f & ~sigma for f in self.facet_masks if f & sigma == sigma)
-        return SimplicialComplex(self.shape, masks)
-
-    def restriction(self, vertices) -> "SimplicialComplex":
-        window = self.shape.mask_of(vertices)
-        return SimplicialComplex(self.shape, tuple(f & window for f in self.facet_masks))
-
-    def cone(self, apex) -> "SimplicialComplex":
-        bit = 1 << self.shape.bit(apex)
-        if any(f & bit for f in self.facet_masks):
-            raise ValueError(f"cone apex {_as_vertex(apex)} is already a vertex of the complex")
-        return SimplicialComplex(self.shape, tuple(f | bit for f in self.facet_masks))
 
     # -- component-aware predicates --------------------------------------
 

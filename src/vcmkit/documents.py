@@ -21,7 +21,7 @@ import json
 from .complexes import Shape, SimplicialComplex, Vertex, union
 from .homology import projective_dimension
 from .linalg import field_label, parse_field
-from .shelling import verify_shelling
+from .shelling import verify_shelling_masks
 from .stanley_reisner import codim, codim_affine
 from .vres import (
     FreeComplexPresentation,
@@ -228,12 +228,23 @@ def matrix_document(pres: FreeComplexPresentation) -> dict:
 # -- certificates ---------------------------------------------------------
 
 
-def certificate_to_dict(cert: VcmCertificate) -> dict:
+def _face_lists(shape: Shape, masks) -> list:
+    return [_mask_to_json(m, shape) for m in masks]
+
+
+def certificate_to_dict(cert: VcmCertificate, face_list=_face_lists) -> dict:
+    """The certificate as a JSON-ready dict.
+
+    Each of its three face lists (`delta_facets`, `delta_prime_facets` and a
+    shelling's `order`) is `face_list(shape, masks)`: by default a list of
+    faces as sorted [component, index] pairs.  A writer that renders masks
+    itself passes its own, as `cli` does for certify-balanced reports.
+    """
     shape = cert.delta.shape
     if isinstance(cert.evidence, ShellingEvidence):
         evidence = {
             "kind": "shelling",
-            "order": [face_to_json(f) for f in cert.evidence.order],
+            "order": face_list(shape, cert.evidence.order_masks),
         }
     elif isinstance(cert.evidence, PdimEvidence):
         evidence = {
@@ -246,8 +257,8 @@ def certificate_to_dict(cert: VcmCertificate) -> dict:
         raise TypeError(f"unknown evidence {type(cert.evidence).__name__}")
     return {
         "shape": list(shape.entries),
-        "delta_facets": [_mask_to_json(m, shape) for m in cert.delta.facet_masks],
-        "delta_prime_facets": [_mask_to_json(m, shape) for m in cert.delta_prime.facet_masks],
+        "delta_facets": face_list(shape, cert.delta.facet_masks),
+        "delta_prime_facets": face_list(shape, cert.delta_prime.facet_masks),
         "verdict": cert.verdict,
         "codim": cert.codim,
         "evidence": evidence,
@@ -278,8 +289,7 @@ def certificate_from_dict(data) -> VcmCertificate:
     if ev["kind"] == "shelling":
         if "order" not in ev or not isinstance(ev["order"], list):
             raise DocumentError("evidence.order: expected a list of faces")
-        order = _read_masks(ev["order"], shape, "evidence.order")
-        evidence = ShellingEvidence(order=tuple(map(shape.face_from_mask, order)))
+        evidence = ShellingEvidence(shape, _read_masks(ev["order"], shape, "evidence.order"))
     elif ev["kind"] == "pdim":
         for key in ("field", "pdim", "codim_affine"):
             if key not in ev:
@@ -326,7 +336,7 @@ def recheck_certificate(data) -> tuple:
     u = union(cert.delta, cert.delta_prime)
     if isinstance(cert.evidence, ShellingEvidence):
         try:
-            check = verify_shelling(u, cert.evidence.order)
+            check = verify_shelling_masks(u, cert.evidence.order_masks)
         except ValueError as exc:
             return False, str(exc)
         if not check.ok:

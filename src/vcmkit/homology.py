@@ -193,13 +193,6 @@ class BettiTable:
 
     entries: dict  # (homological index, Face) -> multiplicity
 
-    @property
-    def max_index(self) -> int:
-        """Largest homological index present, or None for the zero module."""
-        if not self.entries:
-            return None
-        return max(i for i, _ in self.entries)
-
     def multiplicity(self, i: int, sigma) -> int:
         return self.entries.get((i, frozenset(sigma)), 0)
 

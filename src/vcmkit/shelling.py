@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .complexes import (
     Shape,
@@ -33,7 +33,16 @@ class ShellingCheck(NamedTuple):
 
 
 def verify_shelling(delta: SimplicialComplex, order: Sequence) -> ShellingCheck:
-    """Check a facet order for the shelling condition.
+    """Check a facet order, given as faces, for the shelling condition.
+
+    The faces are read with `Shape.mask_of` as `verify_shelling_masks`
+    consumes them, so the checks and messages are that function's.
+    """
+    return verify_shelling_masks(delta, map(delta.shape.mask_of, order))
+
+
+def verify_shelling_masks(delta: SimplicialComplex, order: Iterable[int]) -> ShellingCheck:
+    """Check a facet order, given as masks, for the shelling condition.
 
     A step i passes when every intersection with an earlier facet extends to
     an intersection of full codimension one; the witness is the first (i, j)
@@ -44,33 +53,36 @@ def verify_shelling(delta: SimplicialComplex, order: Sequence) -> ShellingCheck:
     ridge F_i \\ v lies in an earlier facet: step i passes iff no earlier
     facet contains R_i (Bjorner-Wachs 1996), and the lowest such facet is
     the witness j.  One ridge set and one bitset of order positions per
-    vertex make each step cost its facet size, not its position.
+    vertex make each step cost its facet size, not its position: one pass
+    over F_i's vertices both narrows the earlier facets to those holding
+    R_i and records F_i's ridges and vertices for the steps after it.  A
+    ridge of F_i is never another of its own ridges, and the bitsets read
+    for F_i are those of the earlier facets, so recording in the same pass
+    changes no outcome.
     """
     if delta.is_void or not delta.is_pure():
         raise ValueError("shellings are only defined for nonvoid pure complexes")
-    masks = [delta.shape.mask_of(f) for f in order]
+    masks = list(order)
     if len(masks) != len(set(masks)) or set(masks) != set(delta.facet_masks):
         raise ValueError("order does not list the facets of the complex exactly once")
     ridges = set()
     holders = {}  # vertex bit -> bitset of the order positions whose facet holds it
     for i, current in enumerate(masks):
-        vertex_bits = []
+        earlier = (1 << i) - 1  # an empty R_i lies in every earlier facet
+        bit_i = 1 << i
         rest = current
         while rest:
             low = rest & -rest
-            vertex_bits.append(low)
             rest ^= low
-        if i:
-            earlier = (1 << i) - 1  # an empty R_i lies in every earlier facet
-            for low in vertex_bits:
-                if current ^ low in ridges:
-                    earlier &= holders.get(low, 0)
-            if earlier:
-                return ShellingCheck(False, (i + 1, (earlier & -earlier).bit_length()))
-        bit_i = 1 << i
-        for low in vertex_bits:
-            ridges.add(current ^ low)
-            holders[low] = holders.get(low, 0) | bit_i
+            held = holders.get(low, 0)
+            holders[low] = held | bit_i
+            ridge = current ^ low
+            if ridge in ridges:
+                earlier &= held
+            else:
+                ridges.add(ridge)
+        if earlier:
+            return ShellingCheck(False, (i + 1, (earlier & -earlier).bit_length()))
     return ShellingCheck(True, None)
 
 
@@ -152,10 +164,17 @@ def irrelevant_shelling_order(shape: Shape, base) -> ShellingOrder:
 
 @dataclass(frozen=True)
 class BalancedCertificate:
-    """Irrelevant augmentation plus an explicit shelling order for the union."""
+    """Irrelevant augmentation plus an explicit shelling order for the union.
+
+    The order is kept as facet masks; `order` builds its faces on demand.
+    """
 
     delta_prime: SimplicialComplex
-    order: ShellingOrder
+    order_masks: tuple  # of int
+
+    @property
+    def order(self) -> ShellingOrder:
+        return tuple(map(self.delta_prime.shape.face_from_mask, self.order_masks))
 
 
 def balanced_vcm_certificate(delta: SimplicialComplex) -> BalancedCertificate:
@@ -183,7 +202,7 @@ def balanced_vcm_certificate(delta: SimplicialComplex) -> BalancedCertificate:
     order = [m | cone for m in _shelling_masks(bits, delta.facet_masks[0])]
     delta_prime = SimplicialComplex(shape, tuple(order[1:]))
     order.extend(delta.facet_masks[1:])
-    cert = BalancedCertificate(delta_prime, tuple(shape.face_from_mask(m) for m in order))
+    cert = BalancedCertificate(delta_prime, tuple(order))
     _check_certificate(delta, cert)
     return cert
 
@@ -191,6 +210,6 @@ def balanced_vcm_certificate(delta: SimplicialComplex) -> BalancedCertificate:
 def _check_certificate(delta: SimplicialComplex, cert: BalancedCertificate) -> None:
     if any(delta.shape.is_relevant_mask(m) for m in cert.delta_prime.facet_masks):
         raise AssertionError("augmentation contains a relevant facet")
-    check = verify_shelling(union(delta, cert.delta_prime), cert.order)
+    check = verify_shelling_masks(union(delta, cert.delta_prime), cert.order_masks)
     if not check.ok:
         raise AssertionError(f"constructed order fails the shelling check at {check.witness}")

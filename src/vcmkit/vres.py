@@ -346,9 +346,18 @@ def paper_fixture(name: str) -> PaperFixture:
 @dataclass(frozen=True)
 class ShellingEvidence:
     """A verified shelling order of the union; shellable implies CM over
-    every field, so no field is recorded."""
+    every field, so no field is recorded.
 
-    order: ShellingOrder
+    The order is kept as facet masks on `shape`; `order` builds its faces
+    on demand.
+    """
+
+    shape: Shape
+    order_masks: tuple  # of int
+
+    @property
+    def order(self) -> ShellingOrder:
+        return tuple(map(self.shape.face_from_mask, self.order_masks))
 
 
 @dataclass(frozen=True)
@@ -585,5 +594,5 @@ def certify_balanced(delta: SimplicialComplex,
         delta_prime=cert.delta_prime,
         verdict=True,
         codim=cd,
-        evidence=ShellingEvidence(order=cert.order),
+        evidence=ShellingEvidence(delta.shape, cert.order_masks),
     )

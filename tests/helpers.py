@@ -20,6 +20,7 @@ from vcmkit import (
     FreeComplexPresentation,
     Polynomial,
     SearchOutcome,
+    ShellingCheck,
     Shape,
     SimplicialComplex,
     SqfIdeal,
@@ -34,7 +35,7 @@ from vcmkit import (
     union,
     verify_shelling,
 )
-from vcmkit.complexes import format_face
+from vcmkit.complexes import _as_vertex, format_face
 from vcmkit.documents import DocumentError, _load_json, _read_face, _read_shape
 from vcmkit.linalg import gf2_rank, integer_rank, rank_mod_p
 from vcmkit.stanley_reisner import _minimalize
@@ -61,6 +62,40 @@ def faces_bruteforce(delta):
 
 def maximal_sets(sets):
     return {s for s in sets if not any(s < t for t in sets)}
+
+
+class FaceNotInComplexError(ValueError):
+    """An operation required a face the complex does not contain."""
+
+
+def link(delta, face):
+    """The link of a face, as a complex on the same shape."""
+    sigma = delta.shape.mask_of(face)
+    if not delta.has_face_mask(sigma):
+        raise FaceNotInComplexError(f"{format_face(face)} is not a face")
+    masks = tuple(f & ~sigma for f in delta.facet_masks if f & sigma == sigma)
+    return SimplicialComplex(delta.shape, masks)
+
+
+def restriction(delta, vertices):
+    """The induced subcomplex on a set of vertices."""
+    window = delta.shape.mask_of(vertices)
+    return SimplicialComplex(delta.shape, tuple(f & window for f in delta.facet_masks))
+
+
+def cone(delta, apex):
+    """The cone over the complex with a vertex it does not use."""
+    bit = 1 << delta.shape.bit(apex)
+    if any(f & bit for f in delta.facet_masks):
+        raise ValueError(f"cone apex {_as_vertex(apex)} is already a vertex of the complex")
+    return SimplicialComplex(delta.shape, tuple(f | bit for f in delta.facet_masks))
+
+
+def max_index(table):
+    """Largest homological index of a BettiTable, or None for the zero module."""
+    if not table.entries:
+        return None
+    return max(i for i, _ in table.entries)
 
 
 def link_bruteforce(delta, sigma):
@@ -197,6 +232,38 @@ def find_shelling(delta):
         if verify_shelling(delta, perm).ok:
             return perm
     return None
+
+
+def verify_shelling_oracle(delta, order):
+    """verify_shelling as it read faces before the mask verifier: every face
+    is turned into a mask with Shape.mask_of, then the restriction sets are
+    checked as in verify_shelling_masks."""
+    if delta.is_void or not delta.is_pure():
+        raise ValueError("shellings are only defined for nonvoid pure complexes")
+    masks = [delta.shape.mask_of(f) for f in order]
+    if len(masks) != len(set(masks)) or set(masks) != set(delta.facet_masks):
+        raise ValueError("order does not list the facets of the complex exactly once")
+    ridges = set()
+    holders = {}  # vertex bit -> bitset of the order positions whose facet holds it
+    for i, current in enumerate(masks):
+        vertex_bits = []
+        rest = current
+        while rest:
+            low = rest & -rest
+            vertex_bits.append(low)
+            rest ^= low
+        if i:
+            earlier = (1 << i) - 1  # an empty R_i lies in every earlier facet
+            for low in vertex_bits:
+                if current ^ low in ridges:
+                    earlier &= holders.get(low, 0)
+            if earlier:
+                return ShellingCheck(False, (i + 1, (earlier & -earlier).bit_length()))
+        bit_i = 1 << i
+        for low in vertex_bits:
+            ridges.add(current ^ low)
+            holders[low] = holders.get(low, 0) | bit_i
+    return ShellingCheck(True, None)
 
 
 def verify_shelling_pairwise(delta, order):
@@ -353,7 +420,7 @@ def _zero_free_certificate_oracle(delta):
     shape = delta.shape
     order = irrelevant_shelling_order(shape, delta.facets[0])
     delta_prime = SimplicialComplex.from_facets(shape, order[1:])
-    return BalancedCertificate(delta_prime, order + delta.facets[1:])
+    return BalancedCertificate(delta_prime, tuple(map(shape.mask_of, order + delta.facets[1:])))
 
 
 def balanced_vcm_certificate_oracle(delta):
@@ -369,7 +436,7 @@ def balanced_vcm_certificate_oracle(delta):
 
     if not nonzero:
         # One vertex per component: the only balanced complex is one facet.
-        return BalancedCertificate(SimplicialComplex(shape, ()), (delta.facets[0],))
+        return BalancedCertificate(SimplicialComplex(shape, ()), (delta.facet_masks[0],))
 
     # Permute components so the zero entries trail.
     perm = [0] * shape.r
@@ -395,7 +462,7 @@ def balanced_vcm_certificate_oracle(delta):
 
     delta_prime = SimplicialComplex.from_facets(
         shape, [lift(f) for f in cert_pre.delta_prime.facets])
-    order = tuple(lift(f) for f in cert_pre.order)
+    order = tuple(shape.mask_of(lift(f)) for f in cert_pre.order)
     return BalancedCertificate(delta_prime, order)
 
 

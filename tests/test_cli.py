@@ -6,7 +6,7 @@ import time
 import pytest
 
 from vcmkit import Shape, SimplicialComplex, irrelevant_complex, union
-from vcmkit.cli import _dump, _parser, main
+from vcmkit.cli import _dump, _FaceMasks, _human_lines, _parser, main
 from vcmkit.documents import (
     certificate_to_dict,
     complex_document,
@@ -215,6 +215,30 @@ class TestCertifyBalancedCommand:
         assert recheck["recheck"]["ok"] is False
         assert "recorded codim 5" in recheck["recheck"]["detail"]
 
+    # SHA-256 of `certify-balanced --no-json` stdout, recorded before face
+    # lists were written from masks: the plain lines must not change.
+    PLAIN_DIGESTS = {
+        (2, 2, 1, 0): ("8c7cb2a334463496c6299059667718b6803da843a5f0bd78b79dc7b578049862", 6),
+        (1, 1): ("f8e68572044f77c27f519fe1272a02da9f1d2f96aa37d0226db49f394a97b9f9", 1),
+    }
+
+    @pytest.mark.parametrize("entries", sorted(PLAIN_DIGESTS))
+    def test_plain_output(self, tmp_path, capsys, entries):
+        digest, count = self.PLAIN_DIGESTS[entries]
+        shape = Shape(entries)
+        delta = SimplicialComplex(shape, tuple(
+            random.Random(20261019).sample(shape.balanced_masks(), count)))
+        src = write_doc(tmp_path, "balanced.json", complex_document(delta))
+        out_path = tmp_path / "report.json"
+        code, plain, _ = run(capsys, "certify-balanced", src, "--no-json", "--out", str(out_path))
+        assert code == 0
+        assert hashlib.sha256(plain.encode()).hexdigest() == digest
+        code, text, _ = run(capsys, "certify-balanced", src)
+        assert out_path.read_text() == text == dump_oracle(json.loads(text))
+        lines = "".join(line + "\n" for line in _human_lines(json.loads(text)))
+        assert plain == lines
+        assert "certificate.evidence.order: [[[" in plain
+
     def test_unbalanced_input(self, tmp_path, capsys):
         path = write_doc(tmp_path, "bad.json",
                          complex_document(cx((1, 1), [(1, 0), (1, 1)])))
@@ -402,6 +426,58 @@ class TestDumpAgainstJson:
                 text = path.read_text()
                 assert text == dump_oracle(json.loads(text))
         capsys.readouterr()
+
+
+class TestFaceMasksAgainstJson:
+    """Face lists written from masks carry json.dumps' bytes for the plain
+    lists certificate_to_dict builds by default."""
+
+    @staticmethod
+    def certificates():
+        rng = random.Random(20261019)
+        for entries, count in [((2, 2, 1), 7), ((2, 2, 2), 12), ((3, 2, 1, 1), 20),
+                               ((2, 2, 1, 0), 6), ((3, 3, 2, 0), 20), ((0, 2, 0, 1), 4),
+                               ((0, 0), 1), ((0, 0, 0), 1), ((1,), 2), ((3, 0), 3),
+                               ((4, 4, 4), 40)]:
+            shape = Shape(entries)
+            masks = shape.balanced_masks()
+            yield certify_balanced(SimplicialComplex(shape, tuple(rng.sample(masks, count))))
+
+    def test_certificate_reports(self):
+        kinds = set()
+        for cert in self.certificates():
+            fast = {"certificate": certificate_to_dict(cert, face_list=_FaceMasks), "n": 1}
+            plain = {"certificate": certificate_to_dict(cert), "n": 1}
+            assert _dump(fast) == dump_oracle(plain), cert.delta.shape
+            kinds.add((len(cert.evidence.order_masks) == 1,
+                       not cert.delta_prime.facet_masks,
+                       0 in cert.delta.shape.entries))
+        # one-facet orders, empty delta_prime_facets, and cone shapes all occur
+        assert {(True, True, True), (False, True, False), (False, False, True),
+                (False, False, False)} <= kinds
+
+    def test_any_indent_and_position(self):
+        shape = Shape((2, 1, 0))
+        masks = tuple(m for m in shape.balanced_masks())
+        faces = _FaceMasks(shape, masks)
+        plain = faces.as_json()
+        assert plain == [[[v.component, v.index] for v in sorted(shape.face_from_mask(m))]
+                         for m in masks]
+        for wrap in (lambda x: x, lambda x: [x], lambda x: {"a": {"b": [1, x]}, "c": x},
+                     lambda x: [[{"z": x}]]):
+            assert _dump(wrap(faces)) == dump_oracle(wrap(plain))
+
+    def test_empty_lists_and_the_empty_face(self):
+        shape = Shape((1, 1))
+        for masks in [(), (0,), (0b0101,), (0b0101, 0, 0b1010), (0b1111,)]:
+            faces = _FaceMasks(shape, masks)
+            assert _dump({"f": faces}) == dump_oracle({"f": faces.as_json()})
+
+    def test_human_lines_see_plain_lists(self):
+        cert = certify_balanced(SimplicialComplex(Shape((1, 1)), (0b0101,)))
+        fast = {"certificate": certificate_to_dict(cert, face_list=_FaceMasks)}
+        plain = {"certificate": certificate_to_dict(cert)}
+        assert list(_human_lines(fast)) == list(_human_lines(plain))
 
 
 class TestParser:

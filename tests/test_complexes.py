@@ -4,7 +4,6 @@ import random
 import pytest
 
 from vcmkit import (
-    FaceNotInComplexError,
     InvalidVertexError,
     Shape,
     SimplicialComplex,
@@ -15,16 +14,20 @@ from vcmkit import (
 )
 from helpers import (
     ODD_VERTICES,
+    FaceNotInComplexError,
     antichains_nonvoid,
     bits_key_tuple,
+    cone,
     cx,
     faces_bruteforce,
     gallery_connected_pairwise,
+    link,
     link_bruteforce,
     mask_of_bits,
     maximal_masks_pairwise,
     outcome,
     random_complex,
+    restriction,
     restriction_bruteforce,
 )
 
@@ -219,18 +222,18 @@ class TestQueries:
 
 class TestLink:
     def test_fig1_de_link(self, fig1):
-        link = fig1.complex.link([V(2, 0), V(2, 1)])
-        assert set(link.facets) == {
+        lk = link(fig1.complex, [V(2, 0), V(2, 1)])
+        assert set(lk.facets) == {
             frozenset({V(1, 0), V(2, 2)}),
             frozenset({V(1, 1), V(1, 2)}),
         }
 
     def test_link_of_empty_face(self, fig1):
-        assert fig1.complex.link([]) == fig1.complex
+        assert link(fig1.complex, []) == fig1.complex
 
     def test_link_missing_face(self, fig1):
         with pytest.raises(FaceNotInComplexError):
-            fig1.complex.link([V(1, 0), V(1, 1)])
+            link(fig1.complex, [V(1, 0), V(1, 1)])
 
     def test_link_against_bruteforce(self):
         rng = random.Random(7)
@@ -240,18 +243,18 @@ class TestLink:
                 continue
             faces = sorted(d.face_masks())
             sigma = d.shape.face_from_mask(rng.choice(faces))
-            assert set(d.link(sigma).facets) == link_bruteforce(d, sigma)
+            assert set(link(d, sigma).facets) == link_bruteforce(d, sigma)
 
 
 class TestRestriction:
     def test_fig1_restriction(self, fig1):
-        r = fig1.complex.restriction([V(1, 0), V(1, 1)])
+        r = restriction(fig1.complex, [V(1, 0), V(1, 1)])
         assert set(r.facets) == {frozenset({V(1, 0)}), frozenset({V(1, 1)})}
 
     def test_full_and_empty_window(self, fig1):
         d = fig1.complex
-        assert d.restriction(d.shape.vertices()) == d
-        assert d.restriction([]).facet_masks == (0,)
+        assert restriction(d, d.shape.vertices()) == d
+        assert restriction(d, []).facet_masks == (0,)
 
     def test_restriction_against_bruteforce(self):
         rng = random.Random(11)
@@ -259,7 +262,7 @@ class TestRestriction:
         for _ in range(25):
             d = random_complex(shape, rng)
             window = rng.sample(shape.vertices(), rng.randint(0, shape.num_vertices))
-            got = d.restriction(window)
+            got = restriction(d, window)
             if d.is_void:
                 assert got.is_void
                 continue
@@ -269,20 +272,20 @@ class TestRestriction:
 class TestCone:
     def test_cone_simplex(self):
         d = cx((3,), [(1, 0), (1, 1)])
-        c = d.cone(V(1, 3))
+        c = cone(d, V(1, 3))
         assert c.facets == (frozenset({V(1, 0), V(1, 1), V(1, 3)}),)
 
     def test_cone_of_empty_face_complex(self):
         d = cx((1,), [])
-        assert d.cone(V(1, 0)).facets == (frozenset({V(1, 0)}),)
+        assert cone(d, V(1, 0)).facets == (frozenset({V(1, 0)}),)
 
     def test_cone_void(self):
         void = SimplicialComplex.from_facets(Shape((1,)), [])
-        assert void.cone(V(1, 0)).is_void
+        assert cone(void, V(1, 0)).is_void
 
     def test_cone_used_vertex(self, fig1):
         with pytest.raises(ValueError):
-            fig1.complex.cone(V(1, 0))
+            cone(fig1.complex, V(1, 0))
 
     def test_cone_dim(self):
         rng = random.Random(13)
@@ -292,7 +295,7 @@ class TestCone:
             if d.is_void:
                 continue
             lifted = SimplicialComplex(shape, d.facet_masks)
-            c = lifted.cone(V(1, 5))
+            c = cone(lifted, V(1, 5))
             assert c.dim == d.dim + 1
             assert all(m >> 5 & 1 for m in c.facet_masks)
 
@@ -401,7 +404,7 @@ class TestRelabelling:
         rng = random.Random(31)
         for _ in range(20):
             d = random_complex(Shape((2, 2)), rng)
-            for derived in [d.restriction(rng.sample(d.shape.vertices(), 3))]:
+            for derived in [restriction(d, rng.sample(d.shape.vertices(), 3))]:
                 masks = derived.facet_masks
                 for a, b in itertools.combinations(masks, 2):
                     assert a & b not in (a, b)

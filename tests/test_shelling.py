@@ -14,6 +14,7 @@ from vcmkit import (
     is_relevant,
     union,
     verify_shelling,
+    verify_shelling_masks,
 )
 from helpers import (
     DESK_SHAPES,
@@ -28,8 +29,10 @@ from helpers import (
     face_from_key,
     facet_key,
     find_shelling,
+    outcome,
     random_balanced,
     random_certificate_cases,
+    verify_shelling_oracle,
     verify_shelling_pairwise,
 )
 
@@ -215,6 +218,85 @@ class TestVerifyShellingAgainstPairwiseOracle:
             sizes.add(size)
             outcomes.add(got.ok)
         assert sizes == set(range(10)) and outcomes == {True, False}
+
+
+def tampered_orders(target, masks, rng):
+    """(label, order) pairs: the order as given, then reversed, with two
+    entries swapped, with a facet duplicated, with a facet missing, and with
+    a non-facet added (a ridge, and a face of facet size where one exists)."""
+    masks = list(masks)
+    yield "as given", masks
+    yield "reversed", masks[::-1]
+    if len(masks) > 1:
+        i, j = rng.sample(range(len(masks)), 2)
+        swapped = list(masks)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        yield "swapped", swapped
+    k = rng.randrange(len(masks))
+    yield "duplicated", masks[:k + 1] + masks[k:]
+    yield "missing", masks[:k] + masks[k + 1:]
+    ridge = masks[k] & (masks[k] - 1)
+    yield "ridge added", masks[:k] + [ridge] + masks[k:]
+    facets = set(target.facet_masks)
+    size = masks[0].bit_count()
+    n = target.shape.num_vertices
+    same_size = [m for m in (sum(1 << p for p in c)
+                             for c in itertools.combinations(range(n), size))
+                 if m not in facets]
+    if same_size:
+        yield "non-facet added", masks + [rng.choice(same_size)]
+
+
+class TestMaskVerifierAgainstFaceOracle:
+    """verify_shelling_masks, and the Face-taking wrapper over it, against
+    verify_shelling as it read faces itself: equal ShellingChecks and equal
+    ValueError messages."""
+
+    def assert_agree(self, target, masks):
+        faces = [target.shape.face_from_mask(m) for m in masks]
+        want = outcome(verify_shelling_oracle, target, faces)
+        assert outcome(verify_shelling_masks, target, masks) == want
+        assert outcome(verify_shelling_masks, target, iter(masks)) == want
+        assert outcome(verify_shelling, target, faces) == want
+        return want
+
+    def test_seeded_orders_and_tamperings(self):
+        rng = random.Random(20261019)
+        seen = {}
+        cases = list(desk_scale_cases())
+        cases += [(union(d, cert.delta_prime), cert.order)
+                  for d, cert in random_certificate_cases(60)]
+        for target, order in cases:
+            masks = [target.shape.mask_of(f) for f in order]
+            for label, tampered in tampered_orders(target, masks, rng):
+                got = self.assert_agree(target, tampered)
+                seen.setdefault(label, set()).add(
+                    got[0] if got[0] == "raise" else got[1].ok)
+        assert seen["as given"] == {True}
+        assert seen["reversed"] == {True, False}
+        assert seen["swapped"] == {True, False}
+        for label in ("duplicated", "missing", "ridge added", "non-facet added"):
+            assert seen[label] == {"raise"}, label
+
+    def test_invalid_complexes_and_faces(self):
+        void = SimplicialComplex(Shape((1,)), ())
+        impure = cx((2,), [(1, 0), (1, 1)], [(1, 2)])
+        pure = cx((2,), [(1, 0), (1, 1)], [(1, 1), (1, 2)])
+        for target, masks in [(void, []), (impure, impure.facet_masks),
+                              (pure, []), (pure, pure.facet_masks)]:
+            self.assert_agree(target, list(masks))
+        # A vertex off the shape fails in Shape.mask_of, in both readers.
+        bad = [fs((1, 0), (1, 1)), fs((1, 1), (1, 7))]
+        assert (outcome(verify_shelling, pure, bad)
+                == outcome(verify_shelling_oracle, pure, bad))
+        assert outcome(verify_shelling, pure, bad)[0] == "raise"
+
+    def test_certificates_keep_masks(self):
+        for d, cert in random_certificate_cases(40):
+            shape = d.shape
+            assert all(type(m) is int for m in cert.order_masks)
+            assert cert.order == tuple(map(shape.face_from_mask, cert.order_masks))
+            assert verify_shelling_masks(union(d, cert.delta_prime), cert.order_masks).ok
 
 
 class TestIrrelevantComplex:
