@@ -93,37 +93,57 @@ def _vertex_fragments(shape: Shape, pad: str) -> tuple:
     return first, later
 
 
+# Marker that _dump's json.dumps writes in place of each _FaceMasks; json
+# escapes its NULs, so it reads "\u0000faces\u0000" in the report text.
+_FACES_MARK = "\x00faces\x00"
+_FACES_TOKEN = json.dumps(_FACES_MARK)
+
+
 def _dump(data) -> str:
     """The report as indent-2 JSON with sorted keys and a final newline.
 
     The bytes are those of ``json.dumps(data, indent=2, sort_keys=True)``
-    plus the newline, whose indent makes json fall back to its pure-Python
-    encoder, with every `_FaceMasks` written as the list its `as_json` gives.
-    This writer lays out dicts and lists itself and leaves every scalar and
-    key to the C encoder.  Lists of exact ints (the vertex pairs, mostly)
-    are rendered once per (values, indent) and reused; bools are kept out of
-    that memo, since (True, 0) == (1, 0).  A `_FaceMasks` of nonempty faces
-    is written from its masks, one fragment per vertex from a table built
-    once per (shape, indent) by `_vertex_fragments`, so no face becomes a
-    list.  Data with a non-string key, or with a value no encoder can write,
-    goes to json.dumps whole, which converts such keys or raises its own
-    TypeError; reports holding a `_FaceMasks` have neither.
+    plus the newline, with every `_FaceMasks` written as the list its
+    `as_json` gives.  json.dumps writes the whole report, each `_FaceMasks`
+    as a marker string through its `default` hook, which refuses any other
+    object as json.dumps does.  A report with no face lists is returned as
+    json.dumps wrote it.  Otherwise each marker is replaced by its face
+    list, at the indent of the marker's line: a list of nonempty faces is
+    written from its masks, one fragment per vertex from a table built once
+    per (shape, indent) by `_vertex_fragments`, so no face becomes a list.
+    A marker is a whole JSON string, so a report string reading like it
+    shows up as one marker too many; such a report is written from the
+    plain lists instead.
     """
-    scalar = json.JSONEncoder().encode
-    memo = {}
+    found = []
+
+    def default(obj):
+        if not isinstance(obj, _FaceMasks):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        found.append(obj)
+        return _FACES_MARK
+
+    text = json.dumps(data, indent=2, sort_keys=True, default=default) + "\n"
+    if not found:
+        return text
+    pieces = text.split(_FACES_TOKEN)
+    if len(pieces) != len(found) + 1:
+        return json.dumps(data, indent=2, sort_keys=True, default=_FaceMasks.as_json) + "\n"
     fragments = {}
     out = []
-
-    def write_faces(faces, pad):
+    append = out.append
+    for piece, faces in zip(pieces, found):
+        append(piece)
+        line = piece[piece.rfind("\n") + 1:]
+        pad = line[:len(line) - len(line.lstrip(" "))]
         masks = faces.masks
         if not masks or 0 in masks:
-            write(faces.as_json(), pad)
-            return
+            append(json.dumps(faces.as_json(), indent=2).replace("\n", "\n" + pad))
+            continue
         key = (faces.shape.entries, pad)
         if key not in fragments:
             fragments[key] = _vertex_fragments(faces.shape, pad)
         first, later = fragments[key]
-        append = out.append
         face_pad = pad + "  "
         sep = "[\n" + face_pad + "["
         between = "\n" + face_pad + "],\n" + face_pad + "["
@@ -138,51 +158,7 @@ def _dump(data) -> str:
                 m ^= low
             sep = between
         append("\n" + face_pad + "]\n" + pad + "]")
-
-    def write(obj, pad):
-        if isinstance(obj, dict):
-            if not obj:
-                out.append("{}")
-                return
-            inner = pad + "  "
-            sep = "{\n" + inner
-            for key, value in sorted(obj.items()):
-                if not isinstance(key, str):
-                    raise TypeError("non-string key")
-                out.append(sep + scalar(key) + ": ")
-                write(value, inner)
-                sep = ",\n" + inner
-            out.append("\n" + pad + "}")
-        elif isinstance(obj, (list, tuple)):
-            if not obj:
-                out.append("[]")
-                return
-            inner = pad + "  "
-            if all(type(x) is int for x in obj):
-                key = (tuple(obj), pad)
-                text = memo.get(key)
-                if text is None:
-                    sep = ",\n" + inner
-                    text = memo[key] = ("[\n" + inner + sep.join(map(int.__repr__, obj))
-                                        + "\n" + pad + "]")
-                out.append(text)
-                return
-            sep = "[\n" + inner
-            for item in obj:
-                out.append(sep)
-                write(item, inner)
-                sep = ",\n" + inner
-            out.append("\n" + pad + "]")
-        elif isinstance(obj, _FaceMasks):
-            write_faces(obj, pad)
-        else:
-            out.append(scalar(obj))
-
-    try:
-        write(data, "")
-    except TypeError:
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
-    out.append("\n")
+    append(pieces[-1])
     return "".join(out)
 
 

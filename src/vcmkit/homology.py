@@ -53,7 +53,9 @@ from .stanley_reisner import codim_affine
 
 
 def _canon(face_masks) -> tuple:
-    """Face masks sorted by (size, mask): a stable sort by size of the sorted masks."""
+    """Face masks sorted by (size, mask): a stable sort by size of the sorted
+    masks.  It makes the key of `_ranks_from_faces`; ranks do not depend on
+    the order within a size, so the uncached sweeps layer faces as given."""
     return tuple(sorted(sorted(face_masks), key=int.bit_count))
 
 
@@ -181,7 +183,7 @@ def reduced_homology_ranks(delta: SimplicialComplex, field: CoefficientField) ->
     """
     if delta.is_void:
         return {}
-    return dict(_ranks_from_layers(_layers(_canon(delta.face_masks())), field.characteristic))
+    return dict(_ranks_from_layers(_layers(delta.face_masks()), field.characteristic))
 
 
 # -- Hochster's formula ---------------------------------------------------
@@ -221,7 +223,7 @@ def _hochster_sweep(delta: SimplicialComplex, characteristic: int):
     some vertices lie in no face, subsets that differ only in those have the
     same restriction and share one computation.
     """
-    layers = _layers(_canon(delta.face_masks()))
+    layers = _layers(delta.face_masks())
     packed = _packed_boundaries(layers) if characteristic in (0, 2) else None
     used = 0
     for f in delta.facet_masks:
@@ -281,7 +283,7 @@ def projective_dimension(delta: SimplicialComplex, field: CoefficientField) -> i
     best = codim_affine(delta)
     faces = delta.face_masks()
     is_face = set(faces)
-    layers = _layers(_canon(faces))
+    layers = _layers(faces)
     characteristic = field.characteristic
     packed = _packed_boundaries(layers) if characteristic in (0, 2) else None
     for size in range(len(bits), 0, -1):

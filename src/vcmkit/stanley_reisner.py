@@ -30,10 +30,10 @@ cheap without changing any intermediate ideal:
 `ideal_of` and `complex_of` grow the face set layer by layer instead of
 walking all 2^n vertex subsets: a set whose facets are all faces is either
 a face or a minimal nonface, so both directions cost a few bit operations
-per vertex of each face, and nothing for the subsets that are neither.  `ideal_of` tells faces from
-nonfaces by the facets that hold them, one bitset of facet positions per
-vertex; `complex_of` tells them apart by the generators and keeps the faces
-with no extension as facets.  Both still refuse shapes with more
+per vertex of each face, and nothing for the subsets that are neither.
+`ideal_of` tells faces from nonfaces by the facets that hold them, one
+bitset of facet positions per vertex; `complex_of` tells them apart by the
+generators and keeps the faces with no extension as facets.  Both still refuse shapes with more
 than MAX_SWEEP_VERTICES vertices: the zero ideal has 2^n faces, and no face
 budget bounds the growth yet.  SqfIdeal minimises its generators as the
 complements of the maximal complements.

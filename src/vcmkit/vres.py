@@ -398,7 +398,8 @@ MAX_CANDIDATE_WALK = 500_000
 
 
 def enumerate_irrelevant_candidate_facets(delta: SimplicialComplex) -> tuple:
-    """Irrelevant non-faces of facet cardinality, in canonical face order.
+    """Masks of the irrelevant non-faces of facet cardinality, in canonical
+    face order.
 
     These are the only faces an augmentation may add: anything relevant
     would change the complex away from the irrelevant locus, and anything
@@ -424,7 +425,7 @@ def enumerate_irrelevant_candidate_facets(delta: SimplicialComplex) -> tuple:
             continue
         if delta.has_face_mask(mask):
             continue
-        out.append(shape.face_from_mask(mask))
+        out.append(mask)
     return tuple(out)
 
 
@@ -495,8 +496,7 @@ def augmentation_search(delta: SimplicialComplex, field: CoefficientField = DEFA
         raise EmptyVarietyError("every facet is irrelevant; nothing remains to certify")
     if not ds.is_pure():
         raise ValueError("the saturation is impure; no equidimensional augmentation exists")
-    candidates = enumerate_irrelevant_candidate_facets(ds)
-    masks = [ds.shape.mask_of(c) for c in candidates]
+    masks = enumerate_irrelevant_candidate_facets(ds)
     union_test = _UnionReisner(ds, masks, field.characteristic)
     tested = 0
     for k in range(len(masks) + 1):
@@ -512,10 +512,10 @@ def augmentation_search(delta: SimplicialComplex, field: CoefficientField = DEFA
                 if not cert.verdict:
                     raise AssertionError("Reisner-positive union with wrong resolution length")
                 return SearchOutcome(CERTIFIED, cert, None, tested)
-    if not candidates:
+    if not masks:
         reason = "no irrelevant candidate facets of required dimension"
     else:
-        reason = (f"all {tested} subsets of the {len(candidates)} candidate facets "
+        reason = (f"all {tested} subsets of the {len(masks)} candidate facets "
                   "fail the Cohen-Macaulay test")
     return SearchOutcome(EXHAUSTED, None, reason, tested)
 

@@ -779,7 +779,7 @@ def augmentation_search_oracle(delta, field=DEFAULT_FIELD, budget=10 ** 6):
         raise EmptyVarietyError("every facet is irrelevant; nothing remains to certify")
     if not ds.is_pure():
         raise ValueError("the saturation is impure; no equidimensional augmentation exists")
-    candidates = enumerate_irrelevant_candidate_facets(ds)
+    candidates = tuple(map(ds.shape.face_from_mask, enumerate_irrelevant_candidate_facets(ds)))
     tested = 0
     for k in range(len(candidates) + 1):
         for subset in itertools.combinations(candidates, k):

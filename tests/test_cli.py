@@ -6,7 +6,7 @@ import time
 import pytest
 
 from vcmkit import Shape, SimplicialComplex, irrelevant_complex, union
-from vcmkit.cli import _dump, _FaceMasks, _human_lines, _parser, main
+from vcmkit.cli import _FACES_MARK, _dump, _FaceMasks, _human_lines, _parser, main
 from vcmkit.documents import (
     certificate_to_dict,
     complex_document,
@@ -472,6 +472,28 @@ class TestFaceMasksAgainstJson:
         for masks in [(), (0,), (0b0101,), (0b0101, 0, 0b1010), (0b1111,)]:
             faces = _FaceMasks(shape, masks)
             assert _dump({"f": faces}) == dump_oracle({"f": faces.as_json()})
+
+    # Strings that read like the marker _dump writes for each face list,
+    # whole, inside longer text, and after an escaped quote (which makes
+    # the marker's quoted token appear inside the string's JSON text).
+    MARKER_LIKE = [_FACES_MARK, "x" + _FACES_MARK, _FACES_MARK + "x", '"' + _FACES_MARK,
+                   _FACES_MARK + '"', '"' + _FACES_MARK + '"', "\\" + _FACES_MARK]
+
+    def test_marker_strings_without_face_lists(self):
+        for text in self.MARKER_LIKE:
+            for data in (text, [text], {"s": text}, {text: [text, 1]},
+                         {"a": {text: {}}, "b": [[text], text]}):
+                assert _dump(data) == dump_oracle(data), data
+
+    def test_marker_strings_beside_face_lists(self):
+        shape = Shape((1, 1))
+        for masks in [(0b0101, 0b1010), (), (0, 0b0101)]:
+            faces = _FaceMasks(shape, masks)
+            plain = faces.as_json()
+            for text in self.MARKER_LIKE:
+                for wrap in (lambda f: {"f": f, "s": text}, lambda f: {text: f},
+                             lambda f: [f, text, f], lambda f: {"a": [text], "z": {text: f}}):
+                    assert _dump(wrap(faces)) == dump_oracle(wrap(plain)), (masks, text)
 
     def test_human_lines_see_plain_lists(self):
         cert = certify_balanced(SimplicialComplex(Shape((1, 1)), (0b0101,)))

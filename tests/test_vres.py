@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from vcmkit import (
     compose_failures,
     enumerate_irrelevant_candidate_facets,
     irrelevant_complex,
+    is_relevant,
     paper_fixture,
     saturate_by_B,
     union,
@@ -285,13 +287,25 @@ class TestCandidateFacets:
 
     def test_single_edge(self):
         d = cx((1, 1), [(1, 0), (2, 0)])
-        assert enumerate_irrelevant_candidate_facets(d) == (
-            fs((1, 0), (1, 1)), fs((2, 0), (2, 1)))
+        assert enumerate_irrelevant_candidate_facets(d) == tuple(map(d.shape.mask_of, (
+            fs((1, 0), (1, 1)), fs((2, 0), (2, 1)))))
 
     def test_single_vertex(self):
         d = cx((1, 1), [(1, 0)])
-        assert enumerate_irrelevant_candidate_facets(d) == (
-            fs((1, 1)), fs((2, 0)), fs((2, 1)))
+        assert enumerate_irrelevant_candidate_facets(d) == tuple(map(d.shape.mask_of, (
+            fs((1, 1)), fs((2, 0)), fs((2, 1)))))
+
+    def test_masks_match_the_face_walk(self):
+        rng = random.Random(20261019)
+        for entries in [(1, 1), (2, 1), (2, 2), (1, 1, 1), (3, 1), (2, 1, 0)]:
+            shape = Shape(entries)
+            for _ in range(5):
+                d = SimplicialComplex(shape, tuple(
+                    rng.sample(shape.balanced_masks(), rng.randint(1, 3))))
+                want = tuple(shape.mask_of(c)
+                             for c in itertools.combinations(shape.vertices(), d.dim + 1)
+                             if not is_relevant(c, shape) and not d.is_face(c))
+                assert enumerate_irrelevant_candidate_facets(d) == want, (entries, d)
 
     def test_void_rejected(self):
         with pytest.raises(ValueError):
