@@ -26,9 +26,8 @@ from .linalg import (
     CoefficientField,
     field_label,
     gf2_rank,
-    integer_rank,
     parse_field,
-    rank_mod_p,
+    sparse_rank,
 )
 from .shelling import (
     BalancedCertificate,

@@ -27,15 +27,16 @@ ranks only the faces of size at most |W| - best.  It visits at most
 sum_{j < dim} C(m, j) subsets, which it checks against
 2**MAX_SWEEP_VERTICES before it starts.
 
-Ranks are exact: GF(2) uses packed bitmask elimination on the columns of
-`_packed_boundaries`, odd primes modular elimination and the rationals
-Bareiss elimination over the integers, both on the dense signed matrices of
-`_signed_boundary`, the one dense boundary builder.  Over the
-rationals the GF(2) ranks come first and certify most boundaries: an
-integer matrix has rank over Q at least its rank mod 2, and since the
-boundary of a boundary is zero, rank_Q(d_s) is at most rank_2(d_s) plus
-the GF(2) homology on either side of d_s.  Bareiss runs only on boundaries
-with GF(2) homology on both sides (as in the real projective plane).
+Ranks are exact, and every field reads its boundary columns from the one
+builder, `_packed_boundaries`.  GF(2) eliminates the packed bitmasks
+themselves; odd primes and the rationals give them alternating signs and
+eliminate them with the sparse `linalg.sparse_rank`, over the integers for
+the rationals.  Over the rationals the GF(2) ranks come first and certify
+most boundaries: an integer matrix has rank over Q at least its rank mod 2,
+and since the boundary of a boundary is zero, rank_Q(d_s) is at most
+rank_2(d_s) plus the GF(2) homology on either side of d_s.  Only
+boundaries with GF(2) homology on both sides (as in the real projective
+plane) are eliminated over Q.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import NamedTuple
 
 from .complexes import MAX_SWEEP_VERTICES, SimplicialComplex, _check_vertex_bound, _popcount
 from .complexes import VertexLimitError  # noqa: F401  (re-exported for existing importers)
-from .linalg import CoefficientField, gf2_rank, integer_rank, rank_mod_p
+from .linalg import CoefficientField, gf2_rank, sparse_rank
 from .stanley_reisner import codim_affine
 
 
@@ -69,8 +70,16 @@ def _layers(faces: tuple) -> list:
 
 
 def _packed_boundaries(layers: list) -> dict:
-    """GF(2) boundary column of every nonempty face, as a bitmask over the
-    positions of its facets in their layer.
+    """Boundary column of every nonempty face, as a bitmask over the
+    positions of its facets in their layer: the GF(2) column itself, and
+    the signed column up to sign for `_signed_rank`.
+
+    The signs need one condition on the layer order: the row of f minus v
+    must lie lower as v rises.  The vertex order of `face_masks()` and the
+    int order of `_canon` both meet it, and so do sublists of such layers.
+    Then the bits of f's column, read from the bottom, name f's vertices
+    from the top, so alternating signs along them give the signed column
+    times (-1)^(|f| - 1), which keeps every rank.
 
     A face set whose layers are sublists of `layers` (a link or restriction
     of it) reuses these columns: its boundary matrices only lose zero rows.
@@ -89,59 +98,51 @@ def _packed_boundaries(layers: list) -> dict:
     return packed
 
 
-def _signed_boundary(cols: list, rows: list) -> list:
-    """Dense signed boundary matrix from the `cols` faces down to the `rows`
-    faces: entry (row of f minus its i-th vertex, column of f) is (-1)^i."""
-    index = {m: i for i, m in enumerate(rows)}
-    matrix = [[0] * len(cols) for _ in rows]
-    for j, f in enumerate(cols):
+def _signed_rank(columns: list, characteristic: int) -> int:
+    """Rank over GF(p), or Q for 0, of the signed boundary map whose columns
+    `_packed_boundaries` packed: signs alternate along each column's bits
+    from the bottom."""
+    signed = []
+    for bits in columns:
+        col = {}
         sign = 1
-        sub = f
-        while sub:
-            low = sub & -sub
-            matrix[index[f ^ low]][j] = sign
+        while bits:
+            low = bits & -bits
+            col[low.bit_length() - 1] = sign
             sign = -sign
-            sub ^= low
-    return matrix
-
-
-def _boundary_rank(cols: list, rows: list, characteristic: int) -> int:
-    """Rank over GF(p), or Q for 0, of the signed boundary map from the
-    `cols` faces down to the `rows` faces."""
-    matrix = _signed_boundary(cols, rows)
-    if characteristic == 0:
-        return integer_rank(matrix)
-    return rank_mod_p(matrix, characteristic)
+            bits ^= low
+        signed.append(col)
+    return sparse_rank(signed, characteristic)
 
 
 def _ranks_from_layers(layers: list, characteristic: int, packed: dict = None) -> tuple:
     """Reduced homology ranks of a face set split by size, as ((dim, rank), ...).
 
     layers[s] lists the masks of size s, from the empty face up to the top
-    size, each layer nonempty.  `packed` holds GF(2) boundary columns valid
-    for these layers (see `_packed_boundaries`); it is built when not given.
+    size, each layer nonempty.  `packed` holds boundary columns valid for
+    these layers (see `_packed_boundaries`); it is built when not given.
     Over the rationals only the boundaries with GF(2) homology on both sides
-    go to Bareiss; every other rank equals its GF(2) rank (see the module
-    docstring).
+    are ranked over Q; every other rank equals its GF(2) rank (see the
+    module docstring).
     """
     top = len(layers) - 1
     branks = [0] * (top + 2)
     if top:
         branks[1] = 1  # every vertex maps onto the empty face
-    if characteristic in (0, 2):
-        if packed is None:
-            packed = _packed_boundaries(layers)
-        for s in range(2, top + 1):
-            branks[s] = gf2_rank([packed[f] for f in layers[s]])
-    else:
-        for s in range(2, top + 1):
-            branks[s] = _boundary_rank(layers[s], layers[s - 1], characteristic)
+    if packed is None:
+        packed = _packed_boundaries(layers)
+    for s in range(2, top + 1):
+        columns = [packed[f] for f in layers[s]]
+        if characteristic in (0, 2):
+            branks[s] = gf2_rank(columns)
+        else:
+            branks[s] = _signed_rank(columns, characteristic)
     sizes = [len(layer) for layer in layers]
     if characteristic == 0:
         h2 = [sizes[s] - branks[s] - branks[s + 1] for s in range(top + 1)]
         for s in range(2, top + 1):
             if h2[s] and h2[s - 1]:
-                branks[s] = _boundary_rank(layers[s], layers[s - 1], 0)
+                branks[s] = _signed_rank([packed[f] for f in layers[s]], 0)
     return tuple([(s - 1, sizes[s] - branks[s] - branks[s + 1]) for s in range(top + 1)])
 
 
@@ -224,7 +225,7 @@ def _hochster_sweep(delta: SimplicialComplex, characteristic: int):
     same restriction and share one computation.
     """
     layers = _layers(delta.face_masks())
-    packed = _packed_boundaries(layers) if characteristic in (0, 2) else None
+    packed = _packed_boundaries(layers)
     used = 0
     for f in delta.facet_masks:
         used |= f
@@ -285,7 +286,7 @@ def projective_dimension(delta: SimplicialComplex, field: CoefficientField) -> i
     is_face = set(faces)
     layers = _layers(faces)
     characteristic = field.characteristic
-    packed = _packed_boundaries(layers) if characteristic in (0, 2) else None
+    packed = _packed_boundaries(layers)
     for size in range(len(bits), 0, -1):
         k = size + free
         if best >= k - 1:  # only d = -1 is left, and W has vertices of delta

@@ -1,16 +1,17 @@
 """Exact linear algebra over GF(p) and the rationals.
 
-One rank routine per coefficient domain: GF(2) elimination on rows packed
-into Python integers (XOR is the whole row operation), straightforward
-modular elimination for odd primes, and Bareiss fraction-free elimination
-for integer matrices, so rational ranks never touch floating point.  The
+Two rank routines: GF(2) elimination on rows packed into Python integers
+(XOR is the whole row operation), and one sparse pivot-table elimination
+on integer columns for odd primes and for the rationals, where it keeps
+every entry an integer, so rational ranks never touch floating point.  The
 homology code calls them on boundary matrices, whose entries are 0 and +-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from math import gcd
+from typing import Iterable
 
 _MAX_CHARACTERISTIC = 1 << 31
 
@@ -102,58 +103,51 @@ def gf2_rank(packed_rows: Iterable[int]) -> int:
     return rank
 
 
-def rank_mod_p(rows: Sequence, p: int) -> int:
-    """Rank over GF(p) by plain Gaussian elimination."""
-    work = [[e % p for e in row] for row in rows]
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][col], p - 2, p)
-        prow = work[rank]
-        for i in range(rank + 1, len(work)):
-            factor = work[i][col]
-            if factor:
-                mult = factor * inv % p
-                row = work[i]
-                for j in range(col, ncols):
-                    row[j] = (row[j] - mult * prow[j]) % p
-        rank += 1
-    return rank
+def sparse_rank(columns: Iterable[dict], p: int) -> int:
+    """Rank over GF(p), or over the rationals when p is 0, of integer
+    columns given as {row: entry} dicts.
 
-
-def integer_rank(rows: Sequence) -> int:
-    """Rank over the rationals via Bareiss fraction-free elimination.
-
-    Entries must be integers; all intermediate values stay integral.
+    A table maps each pivot's top row to its column.  Each column is reduced
+    by the pivot of its top row until that row is new, when it becomes a
+    pivot, or it vanishes.  A step replaces the column by a*col - b*pivot,
+    where a and b are the top entries of pivot and column, then reduces the
+    entries mod p, or for p = 0 divides them by their content, so that they
+    stay integers and small.  A pivot is stored with top entry 1 mod p, or
+    positive over the rationals, so a is 1 over GF(p), and the column is
+    scaled only when a is not 1.  Only nonzero entries are stored.
     """
-    work = [[int(e) for e in row] for row in rows]
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                pivot = i
+    pivots = {}
+    for col in columns:
+        if p:
+            col = {r: v for r, e in col.items() if (v := e % p)}
+        else:
+            col = {r: e for r, e in col.items() if e}
+        while col:
+            top = max(col)
+            pivot = pivots.get(top)
+            if pivot is None:
+                head = col[top]
+                if p and head != 1:
+                    inv = pow(head, -1, p)
+                    col = {r: e * inv % p for r, e in col.items()}
+                elif head < 0:
+                    col = {r: -e for r, e in col.items()}
+                pivots[top] = col
                 break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        prow = work[rank]
-        for i in range(rank + 1, len(work)):
-            row = work[i]
-            head = row[col]
-            for j in range(col + 1, ncols):
-                row[j] = (row[j] * prow[col] - head * prow[j]) // prev
-            row[col] = 0
-        prev = prow[col]
-        rank += 1
-    return rank
+            a, b = pivot[top], col[top]
+            if a != 1:
+                for r in col:
+                    col[r] *= a
+            for r, e in pivot.items():
+                v = col.get(r, 0) - b * e
+                if p:
+                    v %= p
+                if v:
+                    col[r] = v
+                else:
+                    del col[r]
+            if not p and col:
+                g = gcd(*col.values())
+                if g > 1:
+                    col = {r: e // g for r, e in col.items()}
+    return len(pivots)

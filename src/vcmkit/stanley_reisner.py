@@ -94,10 +94,6 @@ class SqfIdeal:
         object.__setattr__(self, "generator_masks", tuple(kept))
         object.__setattr__(self, "is_unit", unit)
 
-    @classmethod
-    def from_faces(cls, shape: Shape, generators) -> "SqfIdeal":
-        return cls(shape, tuple(shape.mask_of(g) for g in generators))
-
     @property
     def is_zero(self) -> bool:
         return not self.is_unit and not self.generator_masks

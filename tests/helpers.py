@@ -10,7 +10,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from vcmkit import (
     BalancedCertificate,
@@ -37,7 +37,7 @@ from vcmkit import (
 )
 from vcmkit.complexes import _as_vertex, format_face
 from vcmkit.documents import DocumentError, _load_json, _read_face, _read_shape
-from vcmkit.linalg import gf2_rank, integer_rank, rank_mod_p
+from vcmkit.linalg import gf2_rank
 from vcmkit.stanley_reisner import _minimalize
 from vcmkit.vres import BUDGET_EXCEEDED, CERTIFIED, DEFAULT_FIELD, EXHAUSTED, parse_polynomial
 
@@ -466,14 +466,87 @@ def balanced_vcm_certificate_oracle(delta):
     return BalancedCertificate(delta_prime, order)
 
 
+def _signed_boundary(cols: list, rows: list) -> list:
+    """Dense signed boundary matrix from the `cols` faces down to the `rows`
+    faces: entry (row of f minus its i-th vertex, column of f) is (-1)^i."""
+    index = {m: i for i, m in enumerate(rows)}
+    matrix = [[0] * len(cols) for _ in rows]
+    for j, f in enumerate(cols):
+        sign = 1
+        sub = f
+        while sub:
+            low = sub & -sub
+            matrix[index[f ^ low]][j] = sign
+            sign = -sign
+            sub ^= low
+    return matrix
+
+
+def rank_mod_p(rows: Sequence, p: int) -> int:
+    """Rank over GF(p) by plain Gaussian elimination."""
+    work = [[e % p for e in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(rank, len(work)):
+            if work[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][col], p - 2, p)
+        prow = work[rank]
+        for i in range(rank + 1, len(work)):
+            factor = work[i][col]
+            if factor:
+                mult = factor * inv % p
+                row = work[i]
+                for j in range(col, ncols):
+                    row[j] = (row[j] - mult * prow[j]) % p
+        rank += 1
+    return rank
+
+
+def integer_rank(rows: Sequence) -> int:
+    """Rank over the rationals via Bareiss fraction-free elimination.
+
+    Entries must be integers; all intermediate values stay integral.
+    """
+    work = [[int(e) for e in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        pivot = None
+        for i in range(rank, len(work)):
+            if work[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        prow = work[rank]
+        for i in range(rank + 1, len(work)):
+            row = work[i]
+            head = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = (row[j] * prow[col] - head * prow[j]) // prev
+            row[col] = 0
+        prev = prow[col]
+        rank += 1
+    return rank
+
+
 def boundary_rank_direct(cols, rows, characteristic):
     """Rank of the signed boundary map from `cols` faces to `rows` faces:
-    packed elimination over GF(2), otherwise on a dense matrix (Bareiss
-    over Q, modular elimination over odd GF(p))."""
+    packed elimination over GF(2), otherwise on the dense matrix of
+    `_signed_boundary` (Bareiss over Q, modular elimination over odd GF(p))."""
     if not cols or not rows:
         return 0
-    index = {m: i for i, m in enumerate(rows)}
     if characteristic == 2:
+        index = {m: i for i, m in enumerate(rows)}
         packed = []
         for f in cols:
             bits = 0
@@ -484,15 +557,7 @@ def boundary_rank_direct(cols, rows, characteristic):
                 sub ^= low
             packed.append(bits)
         return gf2_rank(packed)
-    matrix = [[0] * len(cols) for _ in rows]
-    for j, f in enumerate(cols):
-        sign = 1
-        sub = f
-        while sub:
-            low = sub & -sub
-            matrix[index[f ^ low]][j] = sign
-            sign = -sign
-            sub ^= low
+    matrix = _signed_boundary(cols, rows)
     if characteristic == 0:
         return integer_rank(matrix)
     return rank_mod_p(matrix, characteristic)
@@ -609,6 +674,11 @@ def prime_components(delta):
         comp = full & ~f
         out.append(PrimeComponent(shape.face_from_mask(comp), comp.bit_count()))
     return tuple(out)
+
+
+def ideal_from_faces(shape, generators):
+    """The ideal generated by the squarefree monomials of these vertex sets."""
+    return SqfIdeal(shape, tuple(shape.mask_of(g) for g in generators))
 
 
 def irrelevant_as_ideal(b):

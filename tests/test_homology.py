@@ -22,16 +22,19 @@ from vcmkit import (
     union,
 )
 from vcmkit.homology import (
-    _boundary_rank,
     _canon,
     _layers,
     _link_defect,
+    _packed_boundaries,
     _ranks_from_faces,
     _ranks_from_layers,
-    _signed_boundary,
+    _restricted_layers,
+    _signed_rank,
 )
 from helpers import (
+    _signed_boundary,
     antichains_nonvoid,
+    boundary_rank_direct,
     canon_faces,
     cone,
     cx,
@@ -40,6 +43,7 @@ from helpers import (
     fraction_rank,
     gf_rank_naive,
     hochster_betti_oracle,
+    integer_rank,
     link,
     link_bruteforce,
     max_index,
@@ -148,6 +152,56 @@ class TestBoundaryMatrix:
                     m, ncols = boundary(d, deg)
                     expected = ncols - rank_over(m, p) - rank_over(boundary(d, deg + 1)[0], p)
                     assert ranks[deg] == expected
+
+
+class TestSignedColumns:
+    """Ranks of the signed columns read off `_packed_boundaries` against the
+    dense signed matrix, on every boundary of seeded complexes, of their
+    links and of their sweep restrictions, with faces layered in vertex
+    order (as `face_masks()` lists them) and in int order (as `_canon`)."""
+
+    CHARACTERISTICS = (3, 5, 2147483647, 0)
+
+    @staticmethod
+    def layer_orders(shape, faces):
+        by_vertices = sorted(faces, key=lambda m: (m.bit_count(), shape.bits_key(m)))
+        return _layers(by_vertices), _layers(_canon(faces))
+
+    def check(self, layers, packed, sub):
+        """Every boundary of `sub`, whose layers are sublists of `layers`,
+        from the columns `packed` built on `layers`."""
+        for s in range(1, len(sub)):
+            columns = [packed[f] for f in sub[s]]
+            for f, bits in zip(sub[s], columns):
+                # Bits listed bottom-up name f's vertices top-down.
+                removed = [f ^ layers[s - 1][i] for i in range(bits.bit_length()) if bits >> i & 1]
+                assert sorted(removed, reverse=True) == removed
+                assert sum(removed) == f and all(v.bit_count() == 1 for v in removed)
+            for p in self.CHARACTERISTICS:
+                assert _signed_rank(columns, p) == boundary_rank_direct(sub[s], sub[s - 1], p)
+
+    def test_complexes_links_and_restrictions(self, rp2):
+        rng = random.Random(20261119)
+        cases = [rp2, seeded_unions()[0]]
+        cases += [random_complex(Shape((3, 2)), rng, max_facets=6) for _ in range(12)]
+        checked = 0
+        for delta in cases:
+            if delta.is_void:
+                continue
+            faces = delta.face_masks()
+            assert _layers(faces) == self.layer_orders(delta.shape, faces)[0]
+            for layers in self.layer_orders(delta.shape, faces):
+                packed = _packed_boundaries(layers)
+                self.check(layers, packed, layers)
+                n = delta.shape.num_vertices
+                for out in rng.sample(range(1, 1 << n), min(12, (1 << n) - 1)):
+                    self.check(layers, packed, _restricted_layers(layers, out))
+                checked += 1
+            for sigma in rng.sample(faces[1:], min(8, len(faces) - 1)):
+                link_faces = [f ^ sigma for f in faces if f & sigma == sigma]
+                for layers in self.layer_orders(delta.shape, link_faces):
+                    self.check(layers, _packed_boundaries(layers), layers)
+        assert checked >= 20
 
 
 class TestReducedHomology:
@@ -307,11 +361,13 @@ class TestSweepAgainstOracle:
             if delta.is_void:
                 continue
             layers = _layers(_canon(delta.face_masks()))
+            packed = _packed_boundaries(layers)
             top = len(layers) - 1
             branks = [0] * (top + 2)
             for s in range(1, top + 1):
-                branks[s] = _boundary_rank(layers[s], layers[s - 1], 0)
-                assert branks[s] == fraction_rank(_signed_boundary(layers[s], layers[s - 1]))
+                branks[s] = _signed_rank([packed[f] for f in layers[s]], 0)
+                matrix = _signed_boundary(layers[s], layers[s - 1])
+                assert branks[s] == fraction_rank(matrix) == integer_rank(matrix)
             want = tuple((s - 1, len(layers[s]) - branks[s] - branks[s + 1])
                          for s in range(top + 1))
             assert _ranks_from_layers(layers, 0) == want

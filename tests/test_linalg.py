@@ -8,15 +8,36 @@ from vcmkit import (
     GF,
     field_label,
     gf2_rank,
-    integer_rank,
     parse_field,
-    rank_mod_p,
+    sparse_rank,
 )
-from helpers import fraction_rank, gf_rank_naive
+from helpers import fraction_rank, gf_rank_naive, integer_rank, rank_mod_p
 
 
 def _random_int_matrix(rng, nrows, ncols, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _columns(rows):
+    """The columns of a dense matrix as {row: entry} dicts, zeros included."""
+    ncols = len(rows[0]) if rows else 0
+    return [{i: row[j] for i, row in enumerate(rows)} for j in range(ncols)]
+
+
+def rank_gfp(rows, p):
+    """sparse_rank on the columns of `rows`, checked against both the naive
+    and the dense oracle."""
+    rank = sparse_rank(_columns(rows), p)
+    assert rank == gf_rank_naive(rows, p) == rank_mod_p(rows, p)
+    return rank
+
+
+def rank_q(rows):
+    """sparse_rank over Q on the columns of `rows`, checked against Fraction
+    elimination and the Bareiss oracle."""
+    rank = sparse_rank(_columns(rows), 0)
+    assert rank == fraction_rank(rows) == integer_rank(rows)
+    return rank
 
 
 class TestCoefficientField:
@@ -67,12 +88,12 @@ class TestGF2Rank:
 
 class TestRankModP:
     def test_known_values(self):
-        assert rank_mod_p([], 5) == 0
-        assert rank_mod_p([[], []], 5) == 0  # two rows, no columns
-        assert rank_mod_p([[1, 2], [2, 4]], 5) == 1
-        assert rank_mod_p([[1, 2], [2, 4]], 7) == 1
-        assert rank_mod_p([[3, 0], [0, 3]], 3) == 0  # vanishes mod 3
-        assert rank_mod_p([[3, 0], [0, 3]], 5) == 2
+        assert rank_gfp([], 5) == 0
+        assert rank_gfp([[], []], 5) == 0  # two rows, no columns
+        assert rank_gfp([[1, 2], [2, 4]], 5) == 1
+        assert rank_gfp([[1, 2], [2, 4]], 7) == 1
+        assert rank_gfp([[3, 0], [0, 3]], 3) == 0  # vanishes mod 3
+        assert rank_gfp([[3, 0], [0, 3]], 5) == 2
 
     @pytest.mark.parametrize("p", [3, 5, 101])
     def test_against_naive(self, p):
@@ -80,28 +101,46 @@ class TestRankModP:
         for _ in range(30):
             nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
             rows = _random_int_matrix(rng, nrows, ncols)
-            assert rank_mod_p(rows, p) == gf_rank_naive(rows, p)
+            rank_gfp(rows, p)
 
 
 class TestIntegerRank:
     def test_known_values(self):
-        assert integer_rank([]) == 0
-        assert integer_rank([[], []]) == 0
-        assert integer_rank([[0, 0], [0, 0]]) == 0
-        assert integer_rank([[1, 2], [2, 4]]) == 1
-        assert integer_rank([[2, 0], [0, 3]]) == 2
+        assert rank_q([]) == 0
+        assert rank_q([[], []]) == 0
+        assert rank_q([[0, 0], [0, 0]]) == 0
+        assert rank_q([[1, 2], [2, 4]]) == 1
+        assert rank_q([[2, 0], [0, 3]]) == 2
         # Determinant-zero 3x3 with no zero entries.
-        assert integer_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
+        assert rank_q([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
 
     def test_against_fraction_elimination(self):
         rng = random.Random(20260824)
         for _ in range(40):
             nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
             rows = _random_int_matrix(rng, nrows, ncols)
-            assert integer_rank(rows) == fraction_rank(rows)
+            rank_q(rows)
 
     def test_large_entries_stay_exact(self):
         # Floating point would misjudge this: rows differ at the last digit.
         big = 10 ** 30
-        assert integer_rank([[big, big], [big, big + 1]]) == 2
-        assert integer_rank([[big, big], [big, big]]) == 1
+        assert rank_q([[big, big], [big, big + 1]]) == 2
+        assert rank_q([[big, big], [big, big]]) == 1
+        # The same matrices mod a prime dividing big and mod one that does not.
+        assert rank_gfp([[big, big], [big, big + 1]], 5) == 1
+        assert rank_gfp([[big, big], [big, big + 1]], 2147483647) == 2
+
+
+class TestSparseRank:
+    @pytest.mark.parametrize("p", [0, 3, 2147483647])
+    def test_sparse_columns_with_gaps(self, p):
+        # Columns list only some rows, at scattered indices, as boundary
+        # columns read off a full layer do for a restriction.
+        rng = random.Random(20261119 + p)
+        for _ in range(30):
+            rows = rng.sample(range(40), rng.randint(1, 6))
+            columns = [{r: rng.choice([-2, -1, 1, 2]) for r in rng.sample(rows, rng.randint(0, len(rows)))}
+                       for _ in range(rng.randint(1, 6))]
+            dense = [[col.get(r, 0) for col in columns] for r in rows]
+            want = gf_rank_naive(dense, p) if p else fraction_rank(dense)
+            assert sparse_rank(columns, p) == want

@@ -27,6 +27,7 @@ from helpers import (
     contains_monomial_mask,
     cx,
     exponent_vectors,
+    ideal_from_faces,
     ideal_of_walk,
     intersect_pairwise,
     irrelevant_as_ideal,
@@ -50,7 +51,7 @@ def _label_faces(words):
 class TestSqfIdeal:
     def test_minimalisation(self):
         shape = Shape((3,))
-        ideal = SqfIdeal.from_faces(shape, [[V(1, 0)], [V(1, 0), V(1, 1)], [V(1, 2), V(1, 3)]])
+        ideal = ideal_from_faces(shape, [[V(1, 0)], [V(1, 0), V(1, 1)], [V(1, 2), V(1, 3)]])
         assert ideal.generators == (
             frozenset({V(1, 0)}),
             frozenset({V(1, 2), V(1, 3)}),
@@ -58,7 +59,7 @@ class TestSqfIdeal:
 
     def test_unit_flag(self):
         shape = Shape((1,))
-        ideal = SqfIdeal.from_faces(shape, [[]])
+        ideal = ideal_from_faces(shape, [[]])
         assert ideal.is_unit and ideal.generator_masks == ()
         assert contains_monomial_mask(ideal, 0)
 
@@ -68,7 +69,7 @@ class TestSqfIdeal:
 
     def test_membership(self):
         shape = Shape((3,))
-        ideal = SqfIdeal.from_faces(shape, [[V(1, 0), V(1, 1)]])
+        ideal = ideal_from_faces(shape, [[V(1, 0), V(1, 1)]])
         assert contains_monomial_mask(ideal, 0b011)
         assert contains_monomial_mask(ideal, 0b111)
         assert not contains_monomial_mask(ideal, 0b101)
@@ -111,7 +112,7 @@ class TestIdealOf:
 class TestComplexOf:
     def test_unit_raises(self):
         with pytest.raises(UnitIdealError):
-            complex_of(SqfIdeal.from_faces(Shape((1,)), [[]]))
+            complex_of(ideal_from_faces(Shape((1,)), [[]]))
 
     def test_zero_gives_full_simplex(self):
         shape = Shape((1, 1))
