@@ -20,6 +20,7 @@ from .complexes import Shape
 from .documents import (
     DocumentError,
     _face_lists,
+    _load_json,
     certificate_to_dict,
     complex_document,
     face_to_json,
@@ -242,7 +243,7 @@ def cmd_check_cm(args):
 
 def _run_recheck(args, command):
     text, digest = _read_input(args.recheck)
-    data = json.loads(text)
+    data = _load_json(text)
     if isinstance(data, dict) and "certificate" in data:
         data = data["certificate"]
     ok, detail = recheck_certificate(data)

@@ -42,6 +42,8 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise DocumentError("JSON nested too deeply to read") from None
 
 
 def _read_shape(data, path="shape") -> Shape:

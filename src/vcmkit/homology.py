@@ -2,13 +2,13 @@
 
 All homology is computed from full downward-closed face sets (not facet
 lists), split into layers by face size; one routine turns layers into
-ranks.  The Reisner link test, `_link_defect`, serves `is_cm_reisner` and
-the augmentation search in `vres`; it goes through a bounded lru_cache
-keyed on the canonical face-mask tuple, because links of different
-complexes in a search repeat.  The Hochster subset sweeps do not: their
-restrictions are distinct within a sweep, so they filter pre-layered faces
-for each vertex subset and skip the subsets that are faces (their
-restrictions are simplices).
+ranks.  Reisner's criterion walks the links once, in `_failing_links`,
+for `is_cm_reisner` and for `UnionReisner`, the union test of the search
+in `vres`.  Only links go through the bounded lru_cache keyed on canonical
+face-mask tuples, because links of different complexes repeat.  Whole
+complexes and the restrictions of the Hochster sweeps do not repeat, so
+the sweeps filter pre-layered faces for each vertex subset and skip the
+subsets that are faces (their restrictions are simplices).
 
 There are two sweeps.  `hochster_betti` reports every Betti number, so it
 walks all 2^n vertex subsets and shares work only between subsets that
@@ -150,11 +150,11 @@ def _ranks_from_layers(layers: list, characteristic: int, packed: dict = None) -
 def _ranks_from_faces(faces: tuple, characteristic: int) -> tuple:
     """Reduced homology ranks of a full face set in the `_canon` order.
 
-    The Reisner sweep's cached entry point: the key is shared by every link
-    with the same face set, across complexes.  Repeats come close together
-    (the links of one augmentation search's unions): on the benchmark's
-    search workload 4096 entries keep every hit an unbounded cache gets and
-    1024 keep 98%; on its check-cm workload 1024 already keep them all.
+    The cached entry point for links: the key is shared by every link with
+    the same face set, across complexes.  On the benchmark's inputs (seed 7)
+    10 search rounds make 10,744 lookups and 7,895 hits, 6,810 of them
+    within one search; 4096 entries keep every hit an unbounded cache gets,
+    1024 keep 98%.  20 check-cm rounds make 2,046 lookups and 55 hits.
     """
     return _ranks_from_layers(_layers(faces), characteristic)
 
@@ -174,6 +174,24 @@ def _link_defect(link_faces, characteristic: int):
     """Reisner's test on one link, given as its full face set in any order:
     `_low_homology` of its ranks, through the cached `_ranks_from_faces`."""
     return _low_homology(_ranks_from_faces(_canon(link_faces), characteristic))
+
+
+def _failing_links(faces: tuple, dim: int, characteristic: int):
+    """Yield (sigma, `_low_homology` of its link) for each face sigma of
+    size below `dim` whose link fails Reisner's test, lazily, in the order
+    of `faces`: the faces of a complex of dimension `dim` by size, or all
+    but the empty face (links are taken within `faces`).  Larger faces have
+    links {emptyset} or points, which cannot fail.  Only links of nonempty
+    faces go through the cache: the whole complex never repeats."""
+    for sigma in faces:
+        if sigma.bit_count() >= dim:
+            break
+        if sigma:
+            d = _link_defect([f ^ sigma for f in faces if f & sigma == sigma], characteristic)
+        else:
+            d = _low_homology(_ranks_from_layers(_layers(faces), characteristic))
+        if d is not None:
+            yield sigma, d
 
 
 def reduced_homology_ranks(delta: SimplicialComplex, field: CoefficientField) -> dict:
@@ -320,21 +338,80 @@ def is_cm_reisner(delta: SimplicialComplex, field: CoefficientField) -> ReisnerV
 
     Faces are visited in canonical order (cardinality, then vertex order)
     and the witness reports the first face whose link has nonvanishing
-    reduced homology strictly below its dimension.  Faces of size dim or more
-    are not visited: their links, {emptyset} or points, cannot fail.
+    reduced homology strictly below its dimension (see `_failing_links`).
     """
     if delta.is_void:
         raise ValueError("Cohen-Macaulayness is undefined for the void complex")
-    faces = delta.face_masks()
-    characteristic = field.characteristic
-    dim = delta.dim
-    for sigma in faces:
-        if sigma.bit_count() >= dim:
-            break
-        d = _link_defect([f ^ sigma for f in faces if f & sigma == sigma], characteristic)
-        if d is not None:
-            return ReisnerVerdict(False, (delta.shape.face_from_mask(sigma), d))
+    for sigma, d in _failing_links(delta.face_masks(), delta.dim, field.characteristic):
+        return ReisnerVerdict(False, (delta.shape.face_from_mask(sigma), d))
     return ReisnerVerdict(True, None)
+
+
+class UnionReisner:
+    """Reisner's criterion for the unions of a pure base complex with
+    subsets of its candidate facets, on face masks only.
+
+    Adding facets changes only the links of faces inside the added facets:
+    if no added facet contains a face sigma, every face of the union
+    containing sigma is a face of the base, so sigma's link in the union is
+    its link in the base.  So the failing base faces are found once, and a
+    subset leaving one of them uncovered fails with no rank computed.
+    Every other subset needs only the whole union (ranked uncached, since
+    every union is new) and the links of the faces of size below dim
+    inside its added facets.
+
+    Every face of the universe (the base faces and all candidate submasks)
+    maps to a bitset: bit i when candidate i contains it, and the `base`
+    bit when it is a base face.  A union is then the bitset `base` plus the
+    chosen candidates' bits, and a universe face belongs to it iff the two
+    bitsets meet.
+    """
+
+    def __init__(self, base: SimplicialComplex, candidates: list, characteristic: int):
+        self.characteristic = characteristic
+        faces = base.face_masks()
+        self.base = 1 << len(candidates)
+        holders = dict.fromkeys(faces, self.base)
+        for i, c in enumerate(candidates):
+            bit = 1 << i
+            sub = c
+            while True:
+                holders[sub] = holders.get(sub, 0) | bit
+                if not sub:
+                    break
+                sub = (sub - 1) & c
+        self.holders = holders
+        # The nonempty base faces failing Reisner's test in the base, each
+        # with its candidate bitset: a union keeps such a failure unless a
+        # chosen candidate contains the face.
+        self.bad = {s: holders[s] & ~self.base
+                    for s, _ in _failing_links(faces[1:], base.dim, characteristic)}
+        self.universe = _canon(holders)
+        # The nonempty universe faces whose links can fail.
+        self.low = [f for f in self.universe[1:] if f.bit_count() < base.dim]
+        self.stars = {}  # face -> the universe faces containing it
+
+    def is_cm(self, subset) -> bool:
+        """Whether the base plus the candidates at these indices is CM."""
+        chosen = self.base
+        for i in subset:
+            chosen |= 1 << i
+        if not all(h & chosen for h in self.bad.values()):
+            return False
+        holders = self.holders
+        kept = _layers([f for f in self.universe if holders[f] & chosen])
+        if _low_homology(_ranks_from_layers(kept, self.characteristic)) is not None:
+            return False
+        added = chosen ^ self.base
+        for sigma in self.low:
+            if holders[sigma] & added:
+                star = self.stars.get(sigma)
+                if star is None:
+                    star = self.stars[sigma] = [f for f in self.universe if f & sigma == sigma]
+                link = [f ^ sigma for f in star if holders[f] & chosen]
+                if _link_defect(link, self.characteristic) is not None:
+                    return False
+        return True
 
 
 def is_cm_pdim(delta: SimplicialComplex, field: CoefficientField) -> bool:

@@ -9,18 +9,8 @@ polynomial arithmetic for matrix presentations (`compose_failures` multiplies
 only nonzero entries, accumulating coefficient dicts per product entry), the
 two worked 6-vertex fixtures with their displayed matrix pairs, the
 exhaustive augmentation search, and the certificate containers shared with
-the CLI.
-
-The search runs Reisner's criterion incrementally.  Adding facets changes
-only the links of faces inside the added facets: if no added facet contains
-a face sigma, then every face of the union containing sigma is a face of the
-base, so the link of sigma in the union is its link in the base, face for
-face, and fails Reisner's test exactly when it fails there.  So the base
-faces whose links fail are found once per search, and a subset of
-candidates that leaves one of them uncovered fails at once, with no rank
-computed.  Every other subset needs only the test of the whole union (the
-link of the empty face) and of the links of the faces inside its added
-facets.
+the CLI.  The search tests each union with `homology.UnionReisner`, which
+runs Reisner's criterion incrementally on face masks.
 """
 
 from __future__ import annotations
@@ -33,14 +23,7 @@ from operator import add
 from typing import NamedTuple
 
 from .complexes import Shape, SimplicialComplex, Vertex, format_face, union
-from .homology import (
-    _canon,
-    _layers,
-    _link_defect,
-    _low_homology,
-    _ranks_from_layers,
-    projective_dimension,
-)
+from .homology import UnionReisner, projective_dimension
 from .linalg import CoefficientField
 from .shelling import ShellingOrder, balanced_vcm_certificate
 from .stanley_reisner import EmptyVarietyError, codim, codim_affine, saturate_by_B
@@ -479,15 +462,8 @@ def augmentation_search(delta: SimplicialComplex, field: CoefficientField = DEFA
     with an empty augmentation.  An exhausted pool proves nothing negative:
     it only closes this route.
 
-    The unions are never built as complexes: each is a set of face masks,
-    the saturation's faces plus the submasks of the chosen candidates.  A
-    face in no chosen candidate keeps its link from the saturation (see the
-    module docstring), so a subset leaving one of the saturation's failing
-    faces uncovered fails with no rank computed.  Otherwise the whole union
-    is ranked (bypassing the rank cache, since every union is new), then
-    the links of the faces inside the chosen candidates through the cache.
-    Only the certifying subset becomes a complex, for
-    `certify_vcm_via_union`.
+    The unions are tested as face masks by `homology.UnionReisner`; only
+    the certifying subset becomes a complex, for `certify_vcm_via_union`.
     """
     if budget < 0:
         raise ValueError(f"the budget must be nonnegative, got {budget}")
@@ -497,7 +473,7 @@ def augmentation_search(delta: SimplicialComplex, field: CoefficientField = DEFA
     if not ds.is_pure():
         raise ValueError("the saturation is impure; no equidimensional augmentation exists")
     masks = enumerate_irrelevant_candidate_facets(ds)
-    union_test = _UnionReisner(ds, masks, field.characteristic)
+    union_test = UnionReisner(ds, masks, field.characteristic)
     tested = 0
     for k in range(len(masks) + 1):
         for subset in itertools.combinations(range(len(masks)), k):
@@ -518,63 +494,6 @@ def augmentation_search(delta: SimplicialComplex, field: CoefficientField = DEFA
         reason = (f"all {tested} subsets of the {len(masks)} candidate facets "
                   "fail the Cohen-Macaulay test")
     return SearchOutcome(EXHAUSTED, None, reason, tested)
-
-
-class _UnionReisner:
-    """Reisner's criterion for the unions of a pure base complex with
-    subsets of its candidate facets, on face masks only.
-
-    Every face of the universe (the base faces and all candidate submasks)
-    maps to a bitset: bit i when candidate i contains it, and the `base`
-    bit when it is a base face.  A union is then the bitset `base` plus the
-    chosen candidates' bits, and a universe face belongs to it iff the two
-    bitsets meet.
-    """
-
-    def __init__(self, base: SimplicialComplex, candidates: list, characteristic: int):
-        self.characteristic = characteristic
-        faces = base.face_masks()
-        self.base = 1 << len(candidates)
-        holders = dict.fromkeys(faces, self.base)
-        for i, c in enumerate(candidates):
-            bit = 1 << i
-            sub = c
-            while True:
-                holders[sub] = holders.get(sub, 0) | bit
-                if not sub:
-                    break
-                sub = (sub - 1) & c
-        self.holders = holders
-        # Candidate bitsets of the nonempty base faces failing Reisner's test
-        # in the base: a union keeps such a failure unless a chosen
-        # candidate contains the face.
-        self.bad = [holders[s] & ~self.base for s in faces[1:]
-                    if _link_defect([f ^ s for f in faces if f & s == s],
-                                    characteristic) is not None]
-        self.universe = _canon(holders)
-        self.stars = {}  # face -> the universe faces containing it
-
-    def is_cm(self, subset) -> bool:
-        """Whether the base plus the candidates at these indices is CM."""
-        chosen = self.base
-        for i in subset:
-            chosen |= 1 << i
-        if not all(h & chosen for h in self.bad):
-            return False
-        holders = self.holders
-        kept = _layers([f for f in self.universe if holders[f] & chosen])
-        if _low_homology(_ranks_from_layers(kept, self.characteristic)) is not None:
-            return False
-        added = chosen ^ self.base
-        for sigma in self.universe[1:]:
-            if holders[sigma] & added:
-                star = self.stars.get(sigma)
-                if star is None:
-                    star = self.stars[sigma] = [f for f in self.universe if f & sigma == sigma]
-                link = [f ^ sigma for f in star if holders[f] & chosen]
-                if _link_defect(link, self.characteristic) is not None:
-                    return False
-        return True
 
 
 def certify_balanced(delta: SimplicialComplex,

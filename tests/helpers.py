@@ -466,6 +466,32 @@ def balanced_vcm_certificate_oracle(delta):
     return BalancedCertificate(delta_prime, order)
 
 
+def is_prime_miller_rabin(n: int) -> bool:
+    """Oracle for `linalg._is_prime`: deterministic Miller-Rabin with the 12
+    prime bases up to 37, exact for every n below 3.3e24."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    # Deterministic Miller-Rabin for everything below 3.3e24.
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _signed_boundary(cols: list, rows: list) -> list:
     """Dense signed boundary matrix from the `cols` faces down to the `rows`
     faces: entry (row of f minus its i-th vertex, column of f) is (-1)^i."""

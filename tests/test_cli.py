@@ -132,6 +132,17 @@ class TestInfoCommand:
         assert not out.startswith("{")
 
 
+@pytest.mark.parametrize("argv", [
+    ["info"], ["check-cm"], ["certify-balanced"], ["certify-balanced", "--recheck"],
+    ["search"], ["search", "--recheck"], ["verify-complex"],
+])
+def test_deeply_nested_document_is_an_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 3 and out == "" and "error:" in err
+
+
 class TestCheckCmCommand:
     def test_fig1_is_not_cm(self, fixture_dir, capsys):
         code, report, _ = run_json(capsys, "check-cm", str(fixture_dir / "fig1.json"))

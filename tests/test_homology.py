@@ -22,6 +22,7 @@ from vcmkit import (
     union,
 )
 from vcmkit.homology import (
+    UnionReisner,
     _canon,
     _layers,
     _link_defect,
@@ -476,6 +477,16 @@ class TestReisner:
         with pytest.raises(ValueError):
             is_cm_reisner(SimplicialComplex.from_facets(Shape((1,)), []), QQ)
 
+    def test_whole_complex_bypasses_rank_cache(self):
+        # On a graph only the link of the empty face, the whole graph, can fail.
+        before = _ranks_from_faces.cache_info()
+        for field in (QQ, GF(2), GF(3)):
+            assert is_cm_reisner(hollow_triangle(), field) == (True, None)
+            disjoint = cx((3,), [(1, 0), (1, 1)], [(1, 2), (1, 3)])
+            assert is_cm_reisner(disjoint, field) == (False, (frozenset(), 0))
+        after = _ranks_from_faces.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
     @pytest.mark.parametrize("field", [QQ, GF(2)])
     def test_agrees_with_pdim_test(self, field):
         rng = random.Random(500 + field.characteristic)
@@ -496,14 +507,25 @@ class TestLinkDefect:
         top = ranks[-1][0]
         return next((d for d, h in ranks if d < top and h), None), link.face_masks()
 
-    @pytest.mark.parametrize("characteristic", [0, 2, 3])
-    def test_random_links(self, rp2, characteristic):
+    def cases(self, rp2, characteristic):
+        """The seeded complexes, with the generator that drew them."""
         rng = random.Random(20261104 + characteristic)
         cases = [rp2] + [random_complex(Shape((2, 2)), rng, max_facets=7) for _ in range(30)]
+        return rng, [delta for delta in cases if not delta.is_void]
+
+    def failing(self, delta, characteristic):
+        """{mask: lowest homology below the top} of the faces whose links
+        fail, in `face_masks()` order."""
+        shape = delta.shape
+        lows = {m: self.expected(delta, shape.face_from_mask(m), characteristic)[0]
+                for m in delta.face_masks()}
+        return {m: d for m, d in lows.items() if d is not None}
+
+    @pytest.mark.parametrize("characteristic", [0, 2, 3])
+    def test_random_links(self, rp2, characteristic):
+        rng, cases = self.cases(rp2, characteristic)
         failing = 0
         for delta in cases:
-            if delta.is_void:
-                continue
             for sigma in faces_bruteforce(delta):
                 want, link_faces = self.expected(delta, sigma, characteristic)
                 shuffled = list(link_faces)
@@ -511,6 +533,32 @@ class TestLinkDefect:
                 assert _link_defect(shuffled, characteristic) == want
                 failing += want is not None
         assert failing
+
+    @pytest.mark.parametrize("characteristic", [0, 2, 3])
+    def test_faces_of_size_dim_or_more_never_fail(self, rp2, characteristic):
+        for delta in self.cases(rp2, characteristic)[1]:
+            assert all(m.bit_count() < delta.dim for m in self.failing(delta, characteristic))
+
+    @pytest.mark.parametrize("characteristic", [0, 2, 3])
+    def test_walk_finds_every_failing_face(self, rp2, characteristic):
+        """The union engine's failing base faces are the nonempty failing
+        faces, and `is_cm_reisner` reports the first failing face."""
+        field = CoefficientField(characteristic)
+        nonempty = 0
+        for delta in self.cases(rp2, characteristic)[1]:
+            failing = self.failing(delta, characteristic)
+            engine = UnionReisner(delta, [], characteristic)
+            assert set(engine.bad) == set(failing) - {0}
+            nonempty += len(engine.bad)
+            verdict = is_cm_reisner(delta, field)
+            if failing:
+                first = next(iter(failing))
+                assert verdict == (False, (delta.shape.face_from_mask(first), failing[first]))
+            else:
+                assert verdict == (True, None)
+            if delta.is_pure():
+                assert engine.is_cm(()) == verdict.is_cm
+        assert nonempty
 
     def test_rp2_fails_only_over_gf2(self, rp2):
         faces = rp2.face_masks()

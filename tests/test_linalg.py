@@ -11,7 +11,8 @@ from vcmkit import (
     parse_field,
     sparse_rank,
 )
-from helpers import fraction_rank, gf_rank_naive, integer_rank, rank_mod_p
+from vcmkit.linalg import _is_prime
+from helpers import fraction_rank, gf_rank_naive, integer_rank, is_prime_miller_rabin, rank_mod_p
 
 
 def _random_int_matrix(rng, nrows, ncols, lo=-9, hi=9):
@@ -67,6 +68,29 @@ class TestCoefficientField:
     def test_label_round_trip(self):
         for f in (QQ, GF(2), GF(101)):
             assert parse_field(field_label(f)) == f
+
+
+class TestIsPrime:
+    """Trial division against the Miller-Rabin oracle."""
+
+    def test_every_small_n(self):
+        for n in range(-3, 200_000):
+            assert _is_prime(n) == is_prime_miller_rabin(n), n
+
+    def test_seeded_n_below_2_31(self):
+        rng = random.Random(20261019)
+        for _ in range(20_000):
+            n = rng.randrange(1 << 31)
+            assert _is_prime(n) == is_prime_miller_rabin(n), n
+
+    def test_edge_cases(self):
+        carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                      321197185, 2100901, 1050985, 1909001, 2113921, 1024651]
+        squares = [46309 ** 2, 46327 ** 2, 46337 ** 2]  # isqrt(n) is the only factor
+        assert _is_prime((1 << 31) - 1)
+        for n in carmichael + squares + [(1 << 31) - 1, 2047, 3277, 4033, 4681, 8321]:
+            assert _is_prime(n) == is_prime_miller_rabin(n), n
+        assert not any(map(_is_prime, carmichael + squares))
 
 
 class TestGF2Rank:
