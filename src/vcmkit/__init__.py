@@ -7,13 +7,13 @@ from .complexes import (
     Shape,
     SimplicialComplex,
     Vertex,
+    VertexLimitError,
     is_relevant,
     union,
 )
 from .homology import (
     BettiTable,
     ReisnerVerdict,
-    VertexLimitError,
     hochster_betti,
     is_cm_pdim,
     is_cm_reisner,

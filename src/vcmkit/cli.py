@@ -87,7 +87,7 @@ def _vertex_fragments(shape: Shape, pad: str) -> tuple:
     vertex_pad = pad + "    "
     int_pad = vertex_pad + "  "
     first, later = {}, {}
-    for p, (c, j) in enumerate(shape._vertex_table):
+    for p, (c, j) in enumerate(shape.vertices()):
         text = f"\n{vertex_pad}[\n{int_pad}{c},\n{int_pad}{j}\n{vertex_pad}]"
         first[1 << p] = text
         later[1 << p] = "," + text

@@ -51,6 +51,11 @@ class VertexLimitError(ValueError):
 MAX_SWEEP_VERTICES = 20
 
 
+# Largest vertex count of a shape: `info` on one small facet at the bound,
+# on shape (N - 2, 0) or on N zero entries, peaks below 100 MB.
+MAX_SHAPE_VERTICES = 1 << 20
+
+
 def _check_vertex_bound(shape: Shape) -> None:
     """Refuse a step whose cost can reach 2^n (a full subset sweep, or a face
     set that may hold up to 2^n faces) when n > MAX_SWEEP_VERTICES."""
@@ -90,6 +95,10 @@ class Shape:
             raise ValueError("shape needs at least one component")
         if any(n < 0 for n in entries):
             raise ValueError(f"negative entry in shape {entries}")
+        n = len(entries) + sum(entries)
+        if n > MAX_SHAPE_VERTICES:
+            raise ValueError(
+                f"{n} vertices exceed the max_shape_vertices={MAX_SHAPE_VERTICES} shape bound")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -114,17 +123,17 @@ class Shape:
 
     def is_valid_vertex(self, vertex) -> bool:
         try:
-            v = _as_vertex(vertex)
+            self.bit(vertex)
         except InvalidVertexError:
             return False
-        return 1 <= v.component <= self.r and 0 <= v.index <= self.entries[v.component - 1]
+        return True
 
     def bit(self, vertex) -> int:
         """Bit position of a vertex in the canonical order."""
-        v = _as_vertex(vertex)
-        if not self.is_valid_vertex(v):
+        c, j = v = _as_vertex(vertex)
+        if not (1 <= c <= len(self.entries) and 0 <= j <= self.entries[c - 1]):
             raise InvalidVertexError(f"{v} does not live on shape {self.entries}")
-        return self._offsets[v.component - 1] + v.index
+        return self._offsets[c - 1] + j
 
     def vertex_at(self, position: int) -> Vertex:
         if not 0 <= position < self._offsets[-1]:
@@ -132,12 +141,13 @@ class Shape:
         comp = bisect_right(self._offsets, position)
         return Vertex(comp, position - self._offsets[comp - 1])
 
-    @cached_property
-    def _vertex_table(self) -> tuple:
-        return tuple(self.vertex_at(p) for p in range(self._offsets[-1]))
-
     def vertices(self) -> tuple:
-        return self._vertex_table
+        return tuple(Vertex(c, j) for c, n in enumerate(self.entries, 1) for j in range(n + 1))
+
+    def component_bits(self) -> list:
+        """bits[c - 1][j] is the one-bit mask of vertex x_{c,j}."""
+        return [[1 << (lo + j) for j in range(n + 1)]
+                for lo, n in zip(self._offsets, self.entries)]
 
     @cached_property
     def component_masks(self) -> tuple:
@@ -151,36 +161,37 @@ class Shape:
     def full_mask(self) -> int:
         return (1 << self.num_vertices) - 1
 
-    @cached_property
-    def _vertex_masks(self) -> dict:
-        """(component, index) -> the vertex's one-bit mask, for every vertex.
-
-        A Vertex is a NamedTuple, so it hashes and compares like its plain
-        (component, index) tuple and finds the same entry."""
-        return {v: 1 << p for p, v in enumerate(self._vertex_table)}
-
     def mask_of(self, face) -> int:
-        """Bitmask of a face given as an iterable of vertices.
-
-        Each vertex is one lookup in the shape's vertex table.  A vertex the
-        table does not hold, or cannot hash (a list, a 3-tuple, a string, an
-        out-of-shape or negative index), goes through `bit`, which converts
-        it with int() and raises InvalidVertexError where it is invalid.
-        """
-        table = self._vertex_masks
+        """Bitmask of a face given as an iterable of vertices, each read by
+        `bit`: int() converts it, and InvalidVertexError is raised where it
+        is invalid."""
         mask = 0
         for v in face:
-            try:
-                mask |= table[v]
-            except (KeyError, TypeError):
-                mask |= 1 << self.bit(v)
+            mask |= 1 << self.bit(v)
         return mask
+
+    def mask_of_pairs(self, face):
+        """Mask of a face given as a list of [component, index] lists of
+        exact ints on the shape, no vertex repeated; None for any other
+        face, which the caller reads by its own, slower rules."""
+        if type(face) is not list:
+            return None
+        entries, offsets = self.entries, self._offsets
+        mask = 0
+        for v in face:
+            if type(v) is not list or len(v) != 2:
+                return None
+            c, j = v
+            if not (type(c) is int and type(j) is int
+                    and 0 < c <= len(entries) and 0 <= j <= entries[c - 1]):
+                return None
+            mask |= 1 << (offsets[c - 1] + j)
+        return mask if mask.bit_count() == len(face) else None
 
     def face_from_mask(self, mask: int) -> Face:
         if mask >> self._offsets[-1]:
             raise InvalidVertexError(f"mask {mask:#x} has bits out of range for shape {self.entries}")
-        table = self._vertex_table
-        return frozenset([table[p] for p in _bits(mask)])
+        return frozenset([self.vertex_at(p) for p in _bits(mask)])
 
     def bits_key(self, mask: int) -> str:
         """Sort key putting faces in lexicographic vertex order.
@@ -195,18 +206,29 @@ class Shape:
 
     def balanced_masks(self) -> tuple:
         """Masks of all faces with exactly one vertex in every component."""
-        per_comp = [[1 << (self._offsets[i] + j) for j in range(n + 1)]
-                    for i, n in enumerate(self.entries)]
-        masks = []
-        for choice in itertools.product(*per_comp):
-            m = 0
-            for b in choice:
-                m |= b
-            masks.append(m)
+        masks = map(sum, itertools.product(*self.component_bits()))
         return tuple(sorted(masks, key=self.bits_key))
 
+    @cached_property
+    def _ends(self) -> tuple:
+        """(low, top): the masks of every component's first and last vertex."""
+        low = "".join("1" + "0" * n for n in self.entries)
+        top = "".join("0" * n + "1" for n in self.entries)
+        return int(low[::-1], 2), int(top[::-1], 2)
+
     def is_relevant_mask(self, mask: int) -> bool:
-        return all(mask & cm for cm in self.component_masks)
+        """True when the mask holds a vertex of every component.
+
+        Below each component's top bit, `top - low` is all ones; adding it
+        to the mask's bits there carries into the top bit exactly when the
+        component holds a vertex below it, and never out of the component.
+        """
+        low, top = self._ends
+        return ((mask & ~top) + top - low | mask) & top == top
+
+    def is_balanced_mask(self, mask: int) -> bool:
+        """True when the mask holds exactly one vertex of every component."""
+        return mask.bit_count() == len(self.entries) and self.is_relevant_mask(mask)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(n) for n in self.entries) + ")"
@@ -316,8 +338,7 @@ class SimplicialComplex:
 
     def is_balanced(self) -> bool:
         """Every facet has exactly one vertex in every component."""
-        cms = self.shape.component_masks
-        return all(_popcount(f & cm) == 1 for f in self.facet_masks for cm in cms)
+        return all(map(self.shape.is_balanced_mask, self.facet_masks))
 
     def relevant_facet_masks(self) -> tuple:
         return tuple(f for f in self.facet_masks if self.shape.is_relevant_mask(f))

@@ -7,10 +7,10 @@ column for syntax, a key path for semantic problems).  Serialisation is
 deterministic: canonical face order everywhere, keys sorted by the caller's
 writer.
 
-Faces go between documents and bitmasks through one per-shape vertex table,
-`Shape._vertex_masks`: reading a well-formed face is one lookup per vertex,
-and writing a face mask walks its bits in canonical vertex order.  A face
-the table cannot read falls back to the per-vertex checks of `_read_face`,
+Faces go between documents and bitmasks through the shape's arithmetic:
+a well-formed face is read by `Shape.mask_of_pairs`, and a face mask is
+written by walking its bits through `Shape.vertex_at`.  A face that
+`mask_of_pairs` refuses falls back to the per-vertex checks of `_read_face`,
 so every malformed face still gets its located DocumentError.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 
-from .complexes import Shape, SimplicialComplex, Vertex, union
+from .complexes import Shape, SimplicialComplex, Vertex, _bits, union
 from .homology import projective_dimension
 from .linalg import field_label, parse_field
 from .shelling import verify_shelling_masks
@@ -52,7 +52,10 @@ def _read_shape(data, path="shape") -> Shape:
     for i, n in enumerate(data):
         if not isinstance(n, int) or n < 0:
             raise DocumentError(f"{path}[{i}]: expected a non-negative integer, got {n!r}")
-    return Shape(tuple(data))
+    try:
+        return Shape(tuple(data))
+    except ValueError as exc:
+        raise DocumentError(f"{path}: {exc}") from None
 
 
 def _read_vertex(data, shape: Shape, path: str) -> Vertex:
@@ -75,45 +78,23 @@ def _read_face(data, shape: Shape, path: str):
 
 
 def _read_masks(data: list, shape: Shape, path: str) -> tuple:
-    """Masks of a list of faces, read through the shape's vertex table.
-
-    A face that is a list of [component, index] pairs of exact ints, every
-    pair in the table and no vertex repeated (the mask's popcount equals
-    the face's length), is read with one lookup per vertex.  Any other face
-    goes through `_read_face`, which raises the DocumentError that locates
-    the problem, or reads what else it accepts, such as bool components.
-    """
-    table = shape._vertex_masks
+    """Masks of a list of faces: each face `Shape.mask_of_pairs` reads, and
+    any other through `_read_face`, which raises the DocumentError that
+    locates the problem, or reads what else it accepts, such as bool
+    components."""
     masks = []
     for i, item in enumerate(data):
-        mask = 0
-        if type(item) is list:
-            for v in item:
-                if type(v) is not list or len(v) != 2:
-                    break
-                c, j = v
-                bit = table.get((c, j)) if type(c) is int and type(j) is int else None
-                if bit is None:
-                    break
-                mask |= bit
-            else:
-                if mask.bit_count() == len(item):
-                    masks.append(mask)
-                    continue
-        masks.append(shape.mask_of(_read_face(item, shape, f"{path}[{i}]")))
+        mask = shape.mask_of_pairs(item)
+        if mask is None:
+            mask = shape.mask_of(_read_face(item, shape, f"{path}[{i}]"))
+        masks.append(mask)
     return tuple(masks)
 
 
 def _mask_to_json(mask: int, shape: Shape) -> list:
     """A face mask as sorted [component, index] pairs: the bits ascend in
     the canonical vertex order, which is the order of sorted Vertex tuples."""
-    table = shape._vertex_table
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(list(table[low.bit_length() - 1]))
-        mask ^= low
-    return out
+    return [list(shape.vertex_at(p)) for p in _bits(mask)]
 
 
 def face_to_json(face) -> list:
@@ -145,10 +126,13 @@ def parse_complex_document(text: str):
         labels = {}
         for key, item in raw.items():
             labels[str(key)] = _read_vertex(item, shape, f"labels[{key!r}]")
-        used = set().union(*[set(f) for f in delta.facets]) if delta.facet_masks else set()
-        if len(set(labels.values())) != len(labels):
+        labelled = shape.mask_of(labels.values())
+        if labelled.bit_count() != len(labels):
             raise DocumentError("labels: two labels name the same vertex")
-        if set(labels.values()) != used:
+        used = 0
+        for m in delta.facet_masks:
+            used |= m
+        if labelled != used:
             raise DocumentError("labels: labelled vertices differ from the vertices in use")
     return delta, labels
 

@@ -47,8 +47,8 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .complexes import MAX_SWEEP_VERTICES, SimplicialComplex, _check_vertex_bound, _popcount
-from .complexes import VertexLimitError  # noqa: F401  (re-exported for existing importers)
+from .complexes import MAX_SWEEP_VERTICES, SimplicialComplex, VertexLimitError
+from .complexes import _check_vertex_bound, _popcount
 from .linalg import CoefficientField, gf2_rank, sparse_rank
 from .stanley_reisner import codim_affine
 

@@ -16,7 +16,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .complexes import (
     Shape,
     SimplicialComplex,
-    _popcount,
     format_face,
     union,
 )
@@ -89,18 +88,12 @@ def verify_shelling_masks(delta: SimplicialComplex, order: Iterable[int]) -> She
 # -- the irrelevant complex and its shelling ------------------------------
 
 
-def _component_bits(shape: Shape) -> list:
-    """bits[c - 1][j] is the mask of vertex x_{c,j}."""
-    offsets = shape._offsets
-    return [[1 << (offsets[i] + j) for j in range(n + 1)] for i, n in enumerate(shape.entries)]
-
-
 def _one_pair_block(bits: list, excluded: int) -> Iterator[tuple]:
     """The irrelevant facets missing component `excluded`, as
     (rest, component, low, high, mask) tuples: the facet doubles `component`
     at indices low < high and picks index rest[i] in the i-th other
     component, in increasing component order.  `bits` is laid out as by
-    `_component_bits`."""
+    `Shape.component_bits`."""
     for c, comp in enumerate(bits, 1):
         if c == excluded:
             continue
@@ -121,15 +114,16 @@ def irrelevant_complex(shape: Shape) -> SimplicialComplex:
     single vertex everywhere else.  With one component there is nothing to
     double and miss at once: the complex is void.
     """
-    bits = _component_bits(shape)
+    bits = shape.component_bits()
     return SimplicialComplex(shape, tuple(
         f[-1] for z in range(1, shape.r + 1) for f in _one_pair_block(bits, z)))
 
 
 def _shelling_masks(bits: list, base_mask: int) -> list:
     """Masks of `irrelevant_shelling_order` for the components in `bits`
-    (laid out as by `_component_bits`, each with two or more vertices) and a
-    base holding one vertex of each: the base, then the one-pair blocks."""
+    (laid out as by `Shape.component_bits`, each with two or more vertices)
+    and a base holding one vertex of each: the base, then the one-pair
+    blocks."""
     # Swap index 0 with the base facet's index in each component.
     bits = [list(comp) for comp in bits]
     for comp in bits:
@@ -153,9 +147,9 @@ def irrelevant_shelling_order(shape: Shape, base) -> ShellingOrder:
     if any(n == 0 for n in shape.entries):
         raise ValueError(f"shape {shape} has a zero entry; the one-pair blocks degenerate")
     base_mask = shape.mask_of(base)
-    if any(_popcount(base_mask & cm) != 1 for cm in shape.component_masks):
+    if not shape.is_balanced_mask(base_mask):
         raise ValueError(f"base facet {format_face(base)} is not balanced")
-    masks = _shelling_masks(_component_bits(shape), base_mask)
+    masks = _shelling_masks(shape.component_bits(), base_mask)
     return tuple(shape.face_from_mask(m) for m in masks)
 
 
@@ -190,13 +184,11 @@ def balanced_vcm_certificate(delta: SimplicialComplex) -> BalancedCertificate:
     """
     if delta.is_void:
         raise ValueError("cannot certify the void complex")
-    if not delta.is_balanced():
-        offender = next(f for f in delta.facets
-                        if any(_popcount(delta.shape.mask_of(f) & cm) != 1
-                               for cm in delta.shape.component_masks))
-        raise ValueError(f"facet {format_face(offender)} is not balanced")
     shape = delta.shape
-    comps = _component_bits(shape)
+    if not delta.is_balanced():
+        offender = next(m for m in delta.facet_masks if not shape.is_balanced_mask(m))
+        raise ValueError(f"facet {format_face(shape.face_from_mask(offender))} is not balanced")
+    comps = shape.component_bits()
     bits = [comp for comp in comps if len(comp) > 1]
     cone = sum(comp[0] for comp in comps if len(comp) == 1)
     order = [m | cone for m in _shelling_masks(bits, delta.facet_masks[0])]

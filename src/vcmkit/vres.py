@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple
 
-from .complexes import Shape, SimplicialComplex, Vertex, format_face, union
+from .complexes import InvalidVertexError, Shape, SimplicialComplex, Vertex, format_face, union
 from .homology import UnionReisner, projective_dimension
 from .linalg import CoefficientField
 from .shelling import ShellingOrder, balanced_vcm_certificate
@@ -148,9 +148,10 @@ def parse_polynomial(text: str, shape: Shape) -> Polynomial:
             if not m:
                 raise ValueError(f"cannot read factor {factor!r} in polynomial {text!r}")
             v = Vertex(int(m.group(1)), int(m.group(2)))
-            if not shape.is_valid_vertex(v):
-                raise ValueError(f"variable {v} is outside shape {shape}")
-            expo[shape.bit(v)] += 1
+            try:
+                expo[shape.bit(v)] += 1
+            except InvalidVertexError:
+                raise ValueError(f"variable {v} is outside shape {shape}") from None
         key = tuple(expo)
         coeffs[key] = coeffs.get(key, 0) + coeff
     return Polynomial._from_checked(nvars, coeffs)

@@ -920,8 +920,9 @@ def dump_oracle(data):
 
 
 def read_masks_oracle(data, shape, path):
-    """documents._read_masks reading every vertex through _read_face."""
-    offsets = shape._offsets
+    """documents._read_masks reading every vertex through _read_face, with
+    the component offsets summed here from the shape's entries."""
+    offsets = list(itertools.accumulate((n + 1 for n in shape.entries), initial=0))
     masks = []
     for i, item in enumerate(data):
         mask = 0

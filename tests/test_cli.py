@@ -116,6 +116,13 @@ class TestInfoCommand:
         code, out, err = run(capsys, "info", str(path))
         assert code == 3 and "line 1 column" in err
 
+    def test_shape_past_the_bound_is_an_input_error(self, tmp_path, capsys):
+        doc = {"shape": [1 << 20, 0], "facets": [[[1, 0], [2, 0]]]}
+        path = write_doc(tmp_path, "wide.json", doc)
+        code, out, err = run(capsys, "info", path)
+        assert code == 3 and out == ""
+        assert "error: shape: 1048578 vertices exceed the max_shape_vertices=1048576" in err
+
     def test_deterministic_output(self, fixture_dir, capsys):
         path = str(fixture_dir / "fig1.json")
         _, out1, _ = run(capsys, "info", path)

@@ -12,6 +12,7 @@ from vcmkit import (
     is_relevant,
     union,
 )
+from vcmkit.complexes import MAX_SHAPE_VERTICES
 from helpers import (
     ODD_VERTICES,
     FaceNotInComplexError,
@@ -67,6 +68,40 @@ class TestShape:
         with pytest.raises(InvalidVertexError):
             s.vertex_at(4)
 
+    def test_codec_matches_the_bit_path_on_every_vertex(self):
+        for entries in [(0,), (2,), (2, 0, 1), (0, 0, 0), (3, 1, 2), (0, 4, 0)]:
+            s = Shape(entries)
+            every = [V(c, j) for c in range(1, s.r + 1) for j in range(entries[c - 1] + 1)]
+            assert s.vertices() == tuple(every)
+            for v in every:
+                m = mask_of_bits(s, [v])
+                assert m == 1 << s.bit(v) == s.mask_of([v]) == s.mask_of([list(v)])
+                assert s.face_from_mask(m) == frozenset({v})
+                assert s.vertex_at(s.bit(v)) == v
+            assert s.mask_of(every) == mask_of_bits(s, every) == s.full_mask
+            assert s.face_from_mask(s.full_mask) == frozenset(every)
+
+    def test_relevant_and_balanced_masks_match_component_masks(self):
+        # Every mask of a few shapes, zero entries included: the carry test
+        # agrees with one AND per component mask.
+        for entries in [(0,), (2,), (1, 1), (2, 0, 1), (0, 0, 0), (3, 1, 2), (0, 2, 0, 1)]:
+            s = Shape(entries)
+            for m in range(1 << s.num_vertices):
+                hits = [(m & cm).bit_count() for cm in s.component_masks]
+                assert s.is_relevant_mask(m) == all(hits), (entries, m)
+                assert s.is_balanced_mask(m) == all(h == 1 for h in hits), (entries, m)
+
+    def test_shape_bound(self):
+        # Past the bound the shape is refused before anything is allocated:
+        # one entry stands for 2**20 + 1 vertices.
+        n = MAX_SHAPE_VERTICES
+        with pytest.raises(ValueError, match=f"^{n + 1} vertices exceed the "
+                                             f"max_shape_vertices={n} shape bound$"):
+            Shape((n,))
+        with pytest.raises(ValueError, match="vertices exceed the max_shape_vertices"):
+            Shape((10 ** 30, 0))
+        assert Shape((n - 2, 0)).num_vertices == n
+
     def test_component_masks_partition(self):
         s = Shape((2, 0, 1))
         acc = 0
@@ -102,14 +137,13 @@ class TestShape:
 
 
 class TestMaskOfTable:
-    """Shape.mask_of reads vertices through its table and falls back to
-    Shape.bit; it must agree with the bit() path on every input."""
+    """Shape.mask_of must agree with the bit() path on every input."""
 
     SHAPES = [(1,), (2, 2), (2, 0, 1), (0, 0), (3, 1, 2)]
 
     @staticmethod
     def as_vertex_like(item):
-        # Lists are unhashable; give the table tuples, Vertex and lists alike.
+        # Each odd value is tried as given and, if a list, as a tuple.
         return tuple(item) if isinstance(item, list) else item
 
     def test_valid_faces_in_every_spelling(self):

@@ -1,5 +1,7 @@
 import json
 import random
+import re
+import tracemalloc
 
 import pytest
 
@@ -110,7 +112,7 @@ class TestComplexDocuments:
 
 
 class TestReadMasksAgainstOracle:
-    """_read_masks reads faces through the shape's vertex table; the oracle
+    """_read_masks reads faces through Shape.mask_of_pairs; the oracle
     reads every vertex through _read_face.  Both must give equal masks or
     the same DocumentError text."""
 
@@ -149,6 +151,61 @@ class TestReadMasksAgainstOracle:
             assert got == ("ok", (0b101,))
         else:
             assert got == ("raise", DocumentError, message)
+
+    @pytest.mark.parametrize("entries", [(1,), (1, 1), (2, 0, 1), (0, 0), (3, 2), (0, 3, 0)])
+    def test_mask_of_pairs_reads_exactly_the_plain_faces(self, entries):
+        # Shape.mask_of_pairs reads a face iff it is a list of exact-int
+        # [component, index] lists on the shape with no vertex repeated, and
+        # then gives the oracle's mask; it refuses everything else.
+        shape = Shape(entries)
+        rng = random.Random(20261021)
+        odd = [[True, 0], [1, False], [1.0, 0], [1, 0.0], [0, 0], [1, -1],
+               [shape.r + 1, 0], [1, shape.entries[0] + 1]]
+        faces = random_odd_faces(shape, rng, 300)
+        for _ in range(200):
+            size = rng.randint(1, shape.num_vertices)
+            face = [list(v) for v in rng.sample(shape.vertices(), size)]
+            kind = rng.randrange(3)
+            if kind == 1:
+                face[rng.randrange(len(face))] = list(rng.choice(odd))
+            elif kind == 2:
+                face.append(list(rng.choice(face)))
+            faces.append(face)
+        read = 0
+        for face in faces:
+            want = outcome(read_masks_oracle, [face], shape, "facets")
+            plain = (type(face) is list
+                     and all(type(v) is list and len(v) == 2 and type(v[0]) is int
+                             and type(v[1]) is int for v in face)
+                     and want[0] == "ok" and want[1][0].bit_count() == len(face))
+            got = shape.mask_of_pairs(face)
+            assert got == (want[1][0] if plain else None), (entries, face)
+            read += got is not None
+        assert 100 < read < len(faces) - 100  # both outcomes are exercised
+
+    def test_wide_shape_parses_in_constant_memory(self):
+        # One facet on (20000, 0): reading it builds nothing per vertex of
+        # the shape.
+        text = json.dumps({"shape": [20000, 0], "facets": [[[1, 0], [1, 20000], [2, 0]]]})
+        tracemalloc.start()
+        try:
+            delta, _ = parse_complex_document(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert delta.facet_masks == (1 | 1 << 20000 | 1 << 20001,)
+        assert peak < 1 << 20, peak
+
+    def test_shape_past_the_bound_is_a_located_error(self):
+        # 2**20 + 1 vertices: refused before any vertex is read.
+        text = json.dumps({"shape": [1 << 20, 0], "facets": [[[1, 0], [2, 0]]]})
+        message = "^shape: 1048578 vertices exceed the max_shape_vertices=1048576 shape bound$"
+        with pytest.raises(DocumentError, match=message):
+            parse_complex_document(text)
+        data = certificate_to_dict(shelling_certificate())
+        data["shape"] = [1 << 20, 0]
+        ok, detail = recheck_certificate(data)
+        assert not ok and re.match(message, detail)
 
     def test_order_read_from_masks(self):
         data = certificate_to_dict(shelling_certificate())
