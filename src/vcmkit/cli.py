@@ -29,7 +29,7 @@ from .documents import (
     parse_matrix_document,
     recheck_certificate,
 )
-from .homology import is_cm_reisner, projective_dimension
+from .homology import cm_verdicts
 from .linalg import field_label, parse_field
 from .stanley_reisner import codim, codim_affine, is_saturated
 from .vres import (
@@ -221,8 +221,7 @@ def cmd_info(args):
 def cmd_check_cm(args):
     delta, _, digest = _load_complex(args.file)
     field = parse_field(args.field)
-    verdict = is_cm_reisner(delta, field)
-    pd = projective_dimension(delta, field)
+    verdict, pd = cm_verdicts(delta, field)
     ca = codim_affine(delta)
     verdicts = {
         "reisner_cm": verdict.is_cm,

@@ -2,13 +2,22 @@
 
 All homology is computed from full downward-closed face sets (not facet
 lists), split into layers by face size; one routine turns layers into
-ranks.  Reisner's criterion walks the links once, in `_failing_links`,
-for `is_cm_reisner` and for `UnionReisner`, the union test of the search
-in `vres`.  Only links go through the bounded lru_cache keyed on canonical
-face-mask tuples, because links of different complexes repeat.  Whole
-complexes and the restrictions of the Hochster sweeps do not repeat, so
-the sweeps filter pre-layered faces for each vertex subset and skip the
-subsets that are faces (their restrictions are simplices).
+ranks.  Reisner's criterion walks the links of nonempty faces once, in
+`_failing_links`, for `is_cm_reisner` and for `UnionReisner`, the union
+test of the search in `vres`.  Only those links go through the bounded
+lru_cache keyed on canonical face-mask tuples, because links of different
+complexes repeat.  Whole complexes and the restrictions of the Hochster
+sweeps do not repeat, so the sweeps filter pre-layered faces for each
+vertex subset and skip the subsets that are faces (their restrictions are
+simplices).
+
+One preparation per check: `_Prepared` lists, layers and packs a
+complex's faces once and ranks the whole complex at most once.  That
+rank is Reisner's test on the empty face's link, and it is also the pdim
+sweep's restriction to the vertices in use, which is the complex itself.
+`cm_verdicts`, which `check-cm` calls, runs both tests on one preparation;
+`is_cm_reisner` and `projective_dimension` each run the same code on one
+of their own.
 
 There are two sweeps.  `hochster_betti` reports every Betti number, so it
 walks all 2^n vertex subsets and shares work only between subsets that
@@ -27,11 +36,14 @@ ranks only the faces of size at most |W| - best.  It visits at most
 sum_{j < dim} C(m, j) subsets, which it checks against
 2**MAX_SWEEP_VERTICES before it starts.
 
-Ranks are exact, and every field reads its boundary columns from the one
-builder, `_packed_boundaries`.  GF(2) eliminates the packed bitmasks
-themselves; odd primes and the rationals give them alternating signs and
-eliminate them with the sparse `linalg.sparse_rank`, over the integers for
-the rationals.  Over the rationals the GF(2) ranks come first and certify
+Ranks are exact, every field reads its boundary columns from the one
+builder, `_packed_boundaries`, and each field has one kernel.  GF(2)
+eliminates the packed bitmasks themselves.  The other fields give them
+alternating signs: GF(3) splits each column into a plus and a minus
+bitplane for `linalg.gf3_rank`, and every other odd prime and the
+rationals eliminate {row: sign} columns with the sparse
+`linalg.sparse_rank`, over the integers for the rationals.  Over the
+rationals the GF(2) ranks come first and certify
 most boundaries: an integer matrix has rank over Q at least its rank mod 2,
 and since the boundary of a boundary is zero, rank_Q(d_s) is at most
 rank_2(d_s) plus the GF(2) homology on either side of d_s.  Only
@@ -43,13 +55,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import NamedTuple
 
 from .complexes import MAX_SWEEP_VERTICES, SimplicialComplex, VertexLimitError
 from .complexes import _check_vertex_bound, _popcount
-from .linalg import CoefficientField, gf2_rank, sparse_rank
+from .linalg import CoefficientField, gf2_rank, gf3_rank, sparse_rank
 from .stanley_reisner import codim_affine
 
 
@@ -98,10 +110,27 @@ def _packed_boundaries(layers: list) -> dict:
     return packed
 
 
+def _planes(bits: int) -> tuple:
+    """The signed column packed in `bits` as the (plus, minus) bitplanes of
+    `gf3_rank`: its bits from the bottom go to plus and minus in turn."""
+    plus = minus = 0
+    while bits:
+        low = bits & -bits
+        plus |= low
+        bits ^= low
+        low = bits & -bits
+        minus |= low
+        bits ^= low
+    return plus, minus
+
+
 def _signed_rank(columns: list, characteristic: int) -> int:
     """Rank over GF(p), or Q for 0, of the signed boundary map whose columns
     `_packed_boundaries` packed: signs alternate along each column's bits
-    from the bottom."""
+    from the bottom.  GF(3) ranks them as bitplanes with `gf3_rank`, every
+    other odd prime and Q as {row: sign} dicts with `sparse_rank`."""
+    if characteristic == 3:
+        return gf3_rank(map(_planes, columns))
     signed = []
     for bits in columns:
         col = {}
@@ -179,17 +208,15 @@ def _link_defect(link_faces, characteristic: int):
 def _failing_links(faces: tuple, dim: int, characteristic: int):
     """Yield (sigma, `_low_homology` of its link) for each face sigma of
     size below `dim` whose link fails Reisner's test, lazily, in the order
-    of `faces`: the faces of a complex of dimension `dim` by size, or all
-    but the empty face (links are taken within `faces`).  Larger faces have
-    links {emptyset} or points, which cannot fail.  Only links of nonempty
-    faces go through the cache: the whole complex never repeats."""
+    of `faces`: the nonempty faces of a complex of dimension `dim` by size
+    (links are taken within `faces`).  Larger faces have links {emptyset}
+    or points, which cannot fail.  The links go through the cache; the link
+    of the empty face, the whole complex, never repeats and is ranked by
+    the caller (see `_reisner`)."""
     for sigma in faces:
         if sigma.bit_count() >= dim:
             break
-        if sigma:
-            d = _link_defect([f ^ sigma for f in faces if f & sigma == sigma], characteristic)
-        else:
-            d = _low_homology(_ranks_from_layers(_layers(faces), characteristic))
+        d = _link_defect([f ^ sigma for f in faces if f & sigma == sigma], characteristic)
         if d is not None:
             yield sigma, d
 
@@ -280,15 +307,27 @@ def hochster_betti(delta: SimplicialComplex, field: CoefficientField) -> BettiTa
     })
 
 
-def projective_dimension(delta: SimplicialComplex, field: CoefficientField) -> int:
-    """Length of the minimal free resolution of the Stanley-Reisner quotient.
+class _Prepared:
+    """The faces of one nonvoid complex, layered and packed once, for
+    Reisner's test and the pdim sweep.  `whole` ranks the whole complex on
+    first use: it is the link of the empty face in Reisner's test, and the
+    sweep's restriction to W = the vertices in use."""
 
-    The pruned Hochster sweep of the module docstring: it refuses a complex
-    whose sweep could visit more than 2**MAX_SWEEP_VERTICES vertex subsets
-    (VertexLimitError) before visiting any.
-    """
-    if delta.is_void:
-        raise ValueError("the void complex presents the zero module; no projective dimension")
+    def __init__(self, delta: SimplicialComplex, characteristic: int):
+        self.delta = delta
+        self.characteristic = characteristic
+        self.faces = delta.face_masks()
+        self.layers = _layers(self.faces)
+        self.packed = _packed_boundaries(self.layers)
+
+    @cached_property
+    def whole(self) -> tuple:
+        return _ranks_from_layers(self.layers, self.characteristic, self.packed)
+
+
+def _sweep_vertices(delta: SimplicialComplex) -> list:
+    """The vertices in use, as single-bit masks, once the pdim sweep's
+    subset count is checked against the bound."""
     used = 0
     for f in delta.facet_masks:
         used |= f
@@ -298,13 +337,18 @@ def projective_dimension(delta: SimplicialComplex, field: CoefficientField) -> i
         raise VertexLimitError(
             f"the projective dimension sweep would visit {count} vertex subsets, "
             f"more than the 2**{MAX_SWEEP_VERTICES} subset sweep bound")
+    return bits
+
+
+def _pdim(prep: _Prepared, bits: list) -> int:
+    """The pruned Hochster sweep of the module docstring over the vertices
+    in use, `bits`, from the largest subset down."""
+    delta = prep.delta
+    used = sum(bits)
     free = delta.shape.num_vertices - len(bits)  # vertices in no face
     best = codim_affine(delta)
-    faces = delta.face_masks()
-    is_face = set(faces)
-    layers = _layers(faces)
-    characteristic = field.characteristic
-    packed = _packed_boundaries(layers)
+    is_face = set(prep.faces)
+    layers, packed, characteristic = prep.layers, prep.packed, prep.characteristic
     for size in range(len(bits), 0, -1):
         k = size + free
         if best >= k - 1:  # only d = -1 is left, and W has vertices of delta
@@ -314,15 +358,34 @@ def projective_dimension(delta: SimplicialComplex, field: CoefficientField) -> i
             if w in is_face:
                 continue
             top = k - best  # faces above this size cannot raise best
-            sub = _restricted_layers(layers[:top + 1], used & ~w)
-            # Layer `top` may be cut short; the ranks of the sizes below it
-            # are exact (the layers kept form a complex, so the GF(2) bound
-            # on rational ranks still holds).
-            for d, h in _ranks_from_layers(sub, characteristic, packed)[:top]:
+            if w == used:
+                # The restriction is the complex itself, and best is still
+                # codim_affine, so top is dim + 1: no layer is cut.
+                ranks = prep.whole
+            else:
+                # Layer `top` may be cut short; the ranks of the sizes below
+                # it are exact (the layers kept form a complex, so the GF(2)
+                # bound on rational ranks still holds).
+                sub = _restricted_layers(layers[:top + 1], used & ~w)
+                ranks = _ranks_from_layers(sub, characteristic, packed)
+            for d, h in ranks[:top]:
                 if h:
                     best = k - 1 - d
                     break
     return best
+
+
+def projective_dimension(delta: SimplicialComplex, field: CoefficientField) -> int:
+    """Length of the minimal free resolution of the Stanley-Reisner quotient.
+
+    The pruned Hochster sweep of the module docstring: it refuses a complex
+    whose sweep could visit more than 2**MAX_SWEEP_VERTICES vertex subsets
+    (VertexLimitError) before visiting any.
+    """
+    if delta.is_void:
+        raise ValueError("the void complex presents the zero module; no projective dimension")
+    bits = _sweep_vertices(delta)
+    return _pdim(_Prepared(delta, field.characteristic), bits)
 
 
 # -- Cohen-Macaulay tests -------------------------------------------------
@@ -331,6 +394,19 @@ def projective_dimension(delta: SimplicialComplex, field: CoefficientField) -> i
 class ReisnerVerdict(NamedTuple):
     is_cm: bool
     witness: tuple  # (Face, homology index) for the first failure, else None
+
+
+def _reisner(prep: _Prepared) -> ReisnerVerdict:
+    """Reisner's test on the prepared complex: the empty face's link, the
+    whole complex, from `prep.whole`, then `_failing_links` on the rest."""
+    delta = prep.delta
+    if delta.dim > 0:  # the empty face has size below dim
+        d = _low_homology(prep.whole)
+        if d is not None:
+            return ReisnerVerdict(False, (frozenset(), d))
+    for sigma, d in _failing_links(prep.faces[1:], delta.dim, prep.characteristic):
+        return ReisnerVerdict(False, (delta.shape.face_from_mask(sigma), d))
+    return ReisnerVerdict(True, None)
 
 
 def is_cm_reisner(delta: SimplicialComplex, field: CoefficientField) -> ReisnerVerdict:
@@ -342,9 +418,18 @@ def is_cm_reisner(delta: SimplicialComplex, field: CoefficientField) -> ReisnerV
     """
     if delta.is_void:
         raise ValueError("Cohen-Macaulayness is undefined for the void complex")
-    for sigma, d in _failing_links(delta.face_masks(), delta.dim, field.characteristic):
-        return ReisnerVerdict(False, (delta.shape.face_from_mask(sigma), d))
-    return ReisnerVerdict(True, None)
+    return _reisner(_Prepared(delta, field.characteristic))
+
+
+def cm_verdicts(delta: SimplicialComplex, field: CoefficientField) -> tuple:
+    """(`is_cm_reisner`, `projective_dimension`) of one complex, from one
+    preparation: its faces are layered and packed once, and the whole
+    complex is ranked once for both.  The sweep bound is checked first."""
+    if delta.is_void:
+        raise ValueError("Cohen-Macaulayness is undefined for the void complex")
+    bits = _sweep_vertices(delta)
+    prep = _Prepared(delta, field.characteristic)
+    return _reisner(prep), _pdim(prep, bits)
 
 
 class UnionReisner:

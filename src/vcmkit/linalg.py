@@ -1,10 +1,13 @@
 """Exact linear algebra over GF(p) and the rationals.
 
-Two rank routines: GF(2) elimination on rows packed into Python integers
-(XOR is the whole row operation), and one sparse pivot-table elimination
-on integer columns for odd primes and for the rationals, where it keeps
-every entry an integer, so rational ranks never touch floating point.  The
-homology code calls them on boundary matrices, whose entries are 0 and +-1.
+Three rank routines: GF(2) elimination on rows packed into Python
+integers (XOR is the whole row operation); GF(3) elimination on columns
+bitsliced into two such integers, one plane for the entries 1 and one for
+the entries -1, so a column operation is a few AND/OR/XOR on the planes;
+and one sparse pivot-table elimination on integer columns for the other
+odd primes and for the rationals, where it keeps every entry an integer,
+so rational ranks never touch floating point.  The homology code calls
+them on boundary matrices, whose entries are 0 and +-1.
 """
 
 from __future__ import annotations
@@ -90,6 +93,36 @@ def gf2_rank(packed_rows: Iterable[int]) -> int:
             pivots.append((row.bit_length() - 1, row))
             rank += 1
     return rank
+
+
+def gf3_rank(columns: Iterable[tuple]) -> int:
+    """Rank over GF(3) of columns given as (plus, minus) bitmask pairs: the
+    rows holding 1 and the rows holding -1 (= 2), which are disjoint.
+
+    The bitsliced elimination of Boothby and Bradshaw (arXiv:0901.1413)
+    with the pivot table of `sparse_rank`: a dict maps each pivot's top row
+    to its planes, stored with top entry 1.  A column is reduced by the
+    pivot of its top row, as column - pivot when its own top entry is 1 and
+    as column + pivot when it is -1, until that row is new, when it becomes
+    a pivot, or it vanishes.  Subtracting adds the pivot with its planes
+    swapped, and x + y is, plane by plane, t ^ ((yp | ym) & ~xm) and
+    t ^ ((xp | xm) & ~yp) with t = xp | ym.
+    """
+    pivots = {}
+    for xp, xm in columns:
+        while xp or xm:
+            top = (xp | xm).bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = (xp, xm) if xp >> (top - 1) else (xm, xp)
+                break
+            if xp >> (top - 1):
+                ym, yp = pivot
+            else:
+                yp, ym = pivot
+            t = xp | ym
+            xp, xm = t ^ ((yp | ym) & ~xm), t ^ ((xp | xm) & ~yp)
+    return len(pivots)
 
 
 def sparse_rank(columns: Iterable[dict], p: int) -> int:

@@ -21,17 +21,21 @@ from vcmkit import (
     reduced_homology_ranks,
     union,
 )
+from vcmkit import homology
 from vcmkit.homology import (
     UnionReisner,
     _canon,
     _layers,
     _link_defect,
     _packed_boundaries,
+    _planes,
     _ranks_from_faces,
     _ranks_from_layers,
     _restricted_layers,
     _signed_rank,
+    cm_verdicts,
 )
+from vcmkit.linalg import gf3_rank
 from helpers import (
     _signed_boundary,
     antichains_nonvoid,
@@ -159,7 +163,9 @@ class TestSignedColumns:
     """Ranks of the signed columns read off `_packed_boundaries` against the
     dense signed matrix, on every boundary of seeded complexes, of their
     links and of their sweep restrictions, with faces layered in vertex
-    order (as `face_masks()` lists them) and in int order (as `_canon`)."""
+    order (as `face_masks()` lists them) and in int order (as `_canon`).
+    The GF(3) bitplanes of `_planes` are the dense signed columns up to
+    sign, and `gf3_rank` ranks them as the dense oracle does."""
 
     CHARACTERISTICS = (3, 5, 2147483647, 0)
 
@@ -180,6 +186,13 @@ class TestSignedColumns:
                 assert sum(removed) == f and all(v.bit_count() == 1 for v in removed)
             for p in self.CHARACTERISTICS:
                 assert _signed_rank(columns, p) == boundary_rank_direct(sub[s], sub[s - 1], p)
+            dense = _signed_boundary(sub[s], layers[s - 1])
+            planes = [_planes(bits) for bits in columns]
+            for j, signs in enumerate(planes):
+                plus = sum(1 << i for i, row in enumerate(dense) if row[j] == 1)
+                minus = sum(1 << i for i, row in enumerate(dense) if row[j] == -1)
+                assert signs in ((plus, minus), (minus, plus))
+            assert gf3_rank(planes) == boundary_rank_direct(sub[s], sub[s - 1], 3)
 
     def test_complexes_links_and_restrictions(self, rp2):
         rng = random.Random(20261119)
@@ -495,6 +508,67 @@ class TestReisner:
             if d.is_void:
                 continue
             assert is_cm_reisner(d, field).is_cm == is_cm_pdim(d, field)
+
+
+class TestCmVerdicts:
+    """`cm_verdicts`, the one preparation of `check-cm`, against
+    `is_cm_reisner` and `projective_dimension` called apart, and against the
+    largest index of the full Hochster sweep."""
+
+    FIELDS = (GF(2), GF(3), GF(5), QQ)
+
+    @staticmethod
+    def cases(rp2):
+        rp2_on_7 = SimplicialComplex(Shape((6,)), rp2.facet_masks)
+        simplex = cx((2,), [(1, 0), (1, 1), (1, 2)])
+        return [
+            rp2,
+            cone(rp2_on_7, V(1, 6)),
+            SimplicialComplex(Shape((8,)), rp2.facet_masks),  # three vertices in no face
+            simplex,  # W = the vertices in use is a face
+            SimplicialComplex(Shape((4,)), simplex.facet_masks),  # and two free vertices
+            SimplicialComplex(Shape((3,)), (0,)),  # {emptyset}
+        ]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_matches_separate_calls_and_full_sweep(self, rp2, field):
+        for delta in self.cases(rp2):
+            verdict, pdim = cm_verdicts(delta, field)
+            assert verdict == is_cm_reisner(delta, field)
+            assert pdim == projective_dimension(delta, field)
+            assert pdim == max_index(hochster_betti(delta, field))
+
+    def test_field_dependence(self, rp2):
+        for delta in self.cases(rp2)[:3]:
+            for field in self.FIELDS:
+                verdict, pdim = cm_verdicts(delta, field)
+                cm = field != GF(2)
+                assert verdict.is_cm is cm and (pdim == codim_affine(delta)) is cm
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_whole_complex_ranked_once(self, rp2, field, monkeypatch):
+        # RP^2 on 9 vertices: the empty face's link and the restriction to
+        # the six vertices in use are both the whole complex.
+        delta = SimplicialComplex(Shape((8,)), rp2.facet_masks)
+        whole = _layers(delta.face_masks())
+        calls = []
+        original = homology._ranks_from_layers
+
+        def counting(layers, *args):
+            calls.append(layers == whole)
+            return original(layers, *args)
+
+        monkeypatch.setattr(homology, "_ranks_from_layers", counting)
+        cm_verdicts(delta, field)
+        assert calls.count(True) == 1
+
+    def test_void_and_sweep_bound(self):
+        with pytest.raises(ValueError, match="undefined for the void complex"):
+            cm_verdicts(SimplicialComplex.from_facets(Shape((1,)), []), QQ)
+        shape = Shape((49,))
+        d = SimplicialComplex(shape, (0b1111111,) + tuple(1 << b for b in range(7, 50)))
+        with pytest.raises(VertexLimitError, match="would visit 2369936 vertex subsets"):
+            cm_verdicts(d, GF(3))
 
 
 class TestLinkDefect:

@@ -11,7 +11,7 @@ from vcmkit import (
     parse_field,
     sparse_rank,
 )
-from vcmkit.linalg import _is_prime
+from vcmkit.linalg import _is_prime, gf3_rank
 from helpers import fraction_rank, gf_rank_naive, integer_rank, is_prime_miller_rabin, rank_mod_p
 
 
@@ -108,6 +108,56 @@ class TestGF2Rank:
             rows = _random_int_matrix(rng, nrows, ncols, 0, 1)
             packed = [sum(b << j for j, b in enumerate(r)) for r in rows]
             assert gf2_rank(packed) == gf_rank_naive(rows, 2)
+
+
+def _gf3_columns(rows):
+    """The columns of a dense matrix as GF(3) (plus, minus) bitplanes: the
+    rows whose entry is 1 and the rows whose entry is 2 = -1 mod 3."""
+    ncols = len(rows[0]) if rows else 0
+    return [(sum(1 << i for i, row in enumerate(rows) if row[j] % 3 == 1),
+             sum(1 << i for i, row in enumerate(rows) if row[j] % 3 == 2))
+            for j in range(ncols)]
+
+
+class TestGF3Rank:
+    def test_known_values(self):
+        assert gf3_rank([]) == 0
+        assert gf3_rank([(0, 0), (0, 0)]) == 0
+        assert gf3_rank([(0b11, 0), (0, 0b11)]) == 1  # the second column is minus the first
+        assert gf3_rank([(0b01, 0b10), (0b10, 0b01)]) == 1  # (1, -1) and (-1, 1)
+        assert gf3_rank([(0b01, 0b10), (0b11, 0)]) == 2
+        # The third column is the sum of the first two.
+        assert gf3_rank([(0b001, 0b100), (0b010, 0b100), (0b111, 0)]) == 2
+
+    def test_against_naive(self):
+        # Dense columns of five kinds: random in -9..9 (so some entries
+        # vanish mod 3), zero, a repeat of an earlier column times +-1 or 2,
+        # full height (every entry nonzero mod 3), and boundary-like (a
+        # handful of +-1).  Up to 70 rows, past one machine word.
+        rng = random.Random(20261021)
+        for trial in range(400):
+            nrows = rng.randint(1, 70 if trial % 4 == 0 else 8)
+            columns = []
+            for _ in range(rng.randint(1, 9)):
+                kind = rng.choice(("random", "zero", "repeat", "full", "sparse"))
+                if kind == "zero":
+                    col = [0] * nrows
+                elif kind == "repeat" and columns:
+                    scale = rng.choice((1, -1, 2))
+                    col = [scale * e for e in rng.choice(columns)]
+                elif kind == "full":
+                    col = [rng.choice((-2, -1, 1, 2, 4)) for _ in range(nrows)]
+                elif kind == "sparse":
+                    col = [0] * nrows
+                    for r in rng.sample(range(nrows), min(nrows, rng.randint(1, 4))):
+                        col[r] = rng.choice((-1, 1))
+                else:
+                    col = [rng.randint(-9, 9) for _ in range(nrows)]
+                columns.append(col)
+            rows = [list(r) for r in zip(*columns)]
+            rank = gf3_rank(_gf3_columns(rows))
+            assert rank == gf_rank_naive(rows, 3) == rank_mod_p(rows, 3)
+            assert rank == sparse_rank(_columns(rows), 3)
 
 
 class TestRankModP:
