@@ -352,10 +352,13 @@ class SimplicialComplex:
 
         Two facets of a pure complex are adjacent iff they share a ridge, so
         each facet is joined to the first facet seen with each of its
-        ridges, in one union-find pass.
+        ridges, in one union-find pass.  One facet is connected with no
+        ridge built.
         """
         if not self.is_pure():
             raise ValueError("gallery-connectedness is only defined for pure complexes")
+        if len(self.facet_masks) <= 1:
+            return True
         parent = list(range(len(self.facet_masks)))
 
         def root(i):

@@ -9,8 +9,9 @@ as dropping the facets that miss a component, which is how `saturate_by_B`
 computes it.  `saturation_oracle` is the independent ideal-theoretic version
 used to cross-check that shortcut: it iterates the colon ideal on exponent
 vectors packed into one int each, so divisibility, colons and lcms are a few
-bit operations per pair.  Three monomial-ideal facts keep the iteration
-cheap without changing any intermediate ideal:
+bit operations per pair.  Four monomial-ideal facts keep the iteration
+cheap; the first three change no ideal the iteration builds, and the fourth
+skips a pass that would change none:
 
 - (I : uv) = ((I : u) : v), so each b in B is split into single-variable
   powers in variable order, and the colon by each prefix is computed once
@@ -23,9 +24,18 @@ cheap without changing any intermediate ideal:
   generator of the intersection on its own, its lcms are its multiples,
   and it is already minimal there (a proper divisor in the intersection
   would lie in its own ideal), so only the lcms are minimalised.
-- Minimal generators are unique, so every intermediate ideal, its sorted
-  generator list and the degree checked against the bound are the same as
-  for a plain colon-by-colon iteration.
+- Minimal generators are unique, so every intermediate ideal that is
+  built, its sorted generator list and the degree checked against the bound
+  are the same as for a plain colon-by-colon iteration.
+- A squarefree I is saturated after one pass.  For squarefree g, g : b
+  keeps the variables of g outside the support of b, so I : b is squarefree
+  and I : b^2 = I : b.  With J = I : B, the intersection of the I : b_j,
+  J : b_i is the intersection of the I : b_j b_i; the term j = i is I : b_i
+  and every other term contains it, so J : B = I : B = J (Miller-Sturmfels,
+  Combinatorial Commutative Algebra, ch. 1).  Every ideal of the confirming
+  pass is squarefree, of degree at most the number of variables, so when
+  the bound admits that degree the pass can neither change the ideal nor
+  raise, and the first pass's quotient is returned.
 
 `ideal_of` and `complex_of` grow the face set layer by layer instead of
 walking all 2^n vertex subsets: a set whose facets are all faces is either
@@ -316,17 +326,39 @@ def _minimalize(gens, packing: _Packing) -> list:
 
     Int order is a linear extension of divisibility (a divisor is
     lexicographically no larger), so one pass in int order finds the
-    minimal generators; only those are sorted by degree.
+    minimal generators; only those are sorted by degree.  A divisor of g
+    holds no variable that g lacks, so each variable, keyed by its guard
+    bit, keeps the bitset of the positions of the kept generators that
+    hold it, and g is tested only against the kept generators outside the
+    holders of the variables it lacks.  With one value bit per field that
+    support test is divisibility itself.
     """
-    guard = packing.guard
+    guard, ones = packing.guard, packing.ones
+    exact = packing.width == 2
     kept = []
+    holders = {}
     for g in sorted(set(gens)):
         lifted = g | guard
-        for k in kept:
-            if (lifted - k) & guard == guard:
+        held = (lifted - ones) & guard  # the guard bits of g's nonzero fields
+        lacking = guard ^ held
+        blocked = 0
+        while lacking:
+            bit = lacking & -lacking
+            lacking ^= bit
+            blocked |= holders.get(bit, 0)
+        cand = ((1 << len(kept)) - 1) & ~blocked
+        while cand:
+            low = cand & -cand
+            if exact or (lifted - kept[low.bit_length() - 1]) & guard == guard:
                 break
+            cand ^= low
         else:
+            position = 1 << len(kept)
             kept.append(g)
+            while held:
+                bit = held & -held
+                held ^= bit
+                holders[bit] = holders.get(bit, 0) | position
     return _by_degree(kept, packing)
 
 
@@ -433,27 +465,35 @@ def saturation_oracle(ideal_gens: Sequence, b_gens: Sequence,
     ends; it holds at most one ideal per distinct prefix.  Intersections
     minimalise only the lcms they form (see `_intersect`).  Minimal
     generators are unique, so each pass builds the same intermediate
-    ideals as a colon-by-colon iteration.  Intermediate generators whose
+    ideals as a colon-by-colon iteration.  The iteration stops when a pass
+    returns its input, except that a squarefree ideal with `degree_bound` at
+    least the number of variables stops after one pass: its quotient is
+    then already saturated (module docstring).  Intermediate generators whose
     total degree exceeds `degree_bound` (default: number of variables, which
     is safe for squarefree inputs) abort with DegreeBoundError.  Returns the
     minimal generators as tuples sorted by (degree, exponents); the unit
     ideal comes back as [the zero vector], the zero ideal as [].
     """
-    ideal_gens = [tuple(int(e) for e in g) for g in ideal_gens]
-    b_gens = [tuple(int(e) for e in g) for g in b_gens]
+    ideal_gens = [tuple(map(int, g)) for g in ideal_gens]
+    b_gens = [tuple(map(int, g)) for g in b_gens]
     if not b_gens:
         raise ValueError("cannot saturate by the zero ideal")
     nvars = len(b_gens[0])
-    for g in ideal_gens + b_gens:
-        if len(g) != nvars:
-            raise ValueError("exponent vectors have inconsistent lengths")
-        if any(e < 0 for e in g):
-            raise ValueError(f"negative exponent in {g}")
+    vectors = ideal_gens + b_gens
+    # Validate in C first; only a failed check walks the vectors in order
+    # to report the first offender.
+    if (min(map(len, vectors)) != nvars or max(map(len, vectors)) != nvars
+            or nvars and min(map(min, vectors)) < 0):
+        for g in vectors:
+            if len(g) != nvars:
+                raise ValueError("exponent vectors have inconsistent lengths")
+            if any(e < 0 for e in g):
+                raise ValueError(f"negative exponent in {g}")
     if degree_bound is None:
         degree_bound = nvars
     if not ideal_gens:
         return []
-    packing = _Packing.for_exponents(nvars, max(max(g, default=0) for g in ideal_gens + b_gens))
+    packing = _Packing.for_exponents(nvars, max(map(max, vectors)) if nvars else 0)
 
     def check(gens):
         worst = packing.degree(gens[-1]) if gens else 0
@@ -486,11 +526,16 @@ def saturation_oracle(ideal_gens: Sequence, b_gens: Sequence,
         return memo[prev]
 
     current = check(_minimalize([packing.pack(g) for g in ideal_gens], packing))
+    # A squarefree I is saturated after one pass (module docstring), and
+    # the pass that would confirm it meets only squarefree generators, of
+    # degree at most nvars, so it can raise nothing either.
+    upper = ~packing.ones  # set in g iff some exponent of g is 2 or more
+    one_pass = degree_bound >= nvars and not any(g & upper for g in current)
     while True:
         memo = {0: current}
         quotient = check(colon(chains[0], memo))
         for chain in chains[1:]:
             quotient = check(_intersect(quotient, colon(chain, memo), packing))
-        if quotient == current:
-            return [packing.unpack(v) for v in current]
+        if one_pass or quotient == current:
+            return [packing.unpack(v) for v in quotient]
         current = quotient

@@ -38,7 +38,7 @@ from vcmkit import (
 from vcmkit.complexes import _as_vertex, format_face
 from vcmkit.documents import DocumentError, _load_json, _read_face, _read_shape
 from vcmkit.linalg import gf2_rank
-from vcmkit.stanley_reisner import _minimalize
+from vcmkit.stanley_reisner import _by_degree
 from vcmkit.vres import BUDGET_EXCEEDED, CERTIFIED, DEFAULT_FIELD, EXHAUSTED, parse_polynomial
 
 
@@ -788,6 +788,21 @@ def saturation_oracle_tuples(ideal_gens, b_gens, degree_bound=None):
         current = quotient
 
 
+def minimalize_pairwise(gens, packing):
+    """stanley_reisner._minimalize testing each generator against every
+    one kept so far, with no support index."""
+    guard = packing.guard
+    kept = []
+    for g in sorted(set(gens)):
+        lifted = g | guard
+        for k in kept:
+            if (lifted - k) & guard == guard:
+                break
+        else:
+            kept.append(g)
+    return _by_degree(kept, packing)
+
+
 def intersect_pairwise(a_gens, c_gens, packing):
     """stanley_reisner._intersect forming the lcm of every pair, through
     the colon on packed ints: lcm(a, c) = c + fieldwise max(a - c, 0)."""
@@ -797,7 +812,7 @@ def intersect_pairwise(a_gens, c_gens, packing):
         d = (a | guard) - b
         return d & ((d & guard) >> (width - 1)) * ((1 << (width - 1)) - 1)
 
-    return _minimalize([c + colon(a, c) for a in a_gens for c in c_gens], packing)
+    return minimalize_pairwise([c + colon(a, c) for a in a_gens for c in c_gens], packing)
 
 
 def compose_failures_dense(pres):

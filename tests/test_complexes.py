@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -367,6 +368,18 @@ class TestGallery:
     def test_single_facet(self):
         assert cx((2,), [(1, 0), (1, 1)]).gallery_connected()
         assert cx((1,), []).gallery_connected()
+
+    def test_one_wide_facet_builds_no_ridge(self):
+        # Its 20,001 ridges would take about 50 MB as full masks.
+        shape = Shape((19999, 0))
+        d = SimplicialComplex(shape, (shape.full_mask,))
+        tracemalloc.start()
+        try:
+            assert d.gallery_connected()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_path_of_triangles(self):
         d = cx((5,), [(1, 0), (1, 1), (1, 2)], [(1, 1), (1, 2), (1, 3)],

@@ -16,10 +16,12 @@ from vcmkit import (
     codim_affine,
     complex_of,
     ideal_of,
+    irrelevant_complex,
     saturate_by_B,
     saturation_oracle,
+    union,
 )
-from vcmkit import complexes, homology
+from vcmkit import complexes, homology, stanley_reisner
 from vcmkit.stanley_reisner import _intersect, _minimalize, _Packing, is_saturated
 from helpers import (
     antichains_nonvoid,
@@ -33,6 +35,7 @@ from helpers import (
     irrelevant_as_ideal,
     minimal_generators_pairwise,
     minimal_nonfaces_bruteforce,
+    minimalize_pairwise,
     prime_components,
     random_balanced,
     random_complex,
@@ -540,6 +543,124 @@ class TestSaturationOracleAgainstTuples:
                 assert ideal == ideal_before and b == b_before
                 outcomes.add(want[0] if isinstance(want, tuple) else len(want) > 1)
         assert {True, False, DegreeBoundError} <= outcomes
+
+
+def _seeded_union(shape, rng):
+    """A random set of balanced facets together with the irrelevant complex."""
+    grid = shape.balanced_masks()
+    chosen = SimplicialComplex(shape, tuple(rng.sample(grid, rng.randint(1, len(grid) // 2))))
+    return union(chosen, irrelevant_complex(shape))
+
+
+def _b_vectors(shape):
+    n = shape.num_vertices
+    return [tuple(m >> i & 1 for i in range(n)) for m in IrrelevantIdealB(shape).generator_masks]
+
+
+class TestOnePassOnSquarefreeInput:
+    """A squarefree ideal is B-saturated after one colon pass, so the
+    oracle stops there when the bound admits every squarefree degree."""
+
+    def count_intersections(self, monkeypatch):
+        calls = []
+        intersect = stanley_reisner._intersect
+
+        def counted(*args):
+            calls.append(None)
+            return intersect(*args)
+
+        monkeypatch.setattr(stanley_reisner, "_intersect", counted)
+        return calls
+
+    def test_pass_count(self, monkeypatch):
+        rng = random.Random(20261020)
+        calls = self.count_intersections(monkeypatch)
+        for entries in [(2, 1), (1, 1, 1), (2, 2, 1)]:
+            shape = Shape(entries)
+            n = shape.num_vertices
+            b = _b_vectors(shape)
+            per_pass = len(b) - 1
+            for _ in range(4):
+                gens = exponent_vectors(ideal_of(_seeded_union(shape, rng)))
+                calls.clear()
+                once = saturation_oracle(gens, b)
+                assert len(calls) == per_pass
+                assert once == saturation_oracle_tuples(gens, b)
+                # Below nvars the bound is checked on a confirming pass too.
+                calls.clear()
+                assert _same_as_tuples(gens, b, degree_bound=n - 1) == once
+                assert len(calls) == 2 * per_pass
+                # One exponent 2 makes the ideal non-squarefree: the loop runs.
+                squared = [tuple(2 * e for e in gens[0])] + gens[1:]
+                calls.clear()
+                _same_as_tuples(squared, b)
+                assert len(calls) >= 2 * per_pass and len(calls) % per_pass == 0
+
+    def test_frobenius_crosses_the_loop_and_the_single_pass(self):
+        # Squaring every exponent commutes with saturation (Frobenius is
+        # flat); the doubled ideal takes the loop, the ideal the single pass.
+        rng = random.Random(20261021)
+        for entries in [(2, 1), (1, 1, 1), (2, 2, 1)]:
+            shape = Shape(entries)
+            n = shape.num_vertices
+            b = _b_vectors(shape)
+            for _ in range(4):
+                gens = exponent_vectors(ideal_of(_seeded_union(shape, rng)))
+                doubled = [tuple(2 * e for e in g) for g in gens]
+                want = {tuple(2 * e for e in g) for g in saturation_oracle(gens, b)}
+                assert set(saturation_oracle(doubled, b, degree_bound=2 * n)) == want
+
+    def test_squarefree_at_bounds_around_nvars(self):
+        rng = random.Random(89)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            ideal = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+            # Any B: the single pass needs only I squarefree.
+            b = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+                 for _ in range(rng.randint(1, 4))]
+            for bound in (n - 1, n, n + 1):
+                want = _same_as_tuples(ideal, b, degree_bound=bound)
+                outcomes.add(want[0] if isinstance(want, tuple) else len(want) > 1)
+        assert {True, False, DegreeBoundError} <= outcomes
+
+
+class TestMinimalizeAgainstPairwise:
+    """The support-indexed _minimalize against the pairwise scan."""
+
+    def test_random_lists(self):
+        rng = random.Random(20261019)
+        for width in range(2, 7):
+            top = (1 << (width - 1)) - 1  # the largest exponent a field holds
+            for _ in range(200):
+                packing = _Packing.for_exponents(rng.randint(0, 7), top)
+                assert packing.width == width
+                vecs = [tuple(rng.choice((0, 0, 0, 1, top, rng.randint(0, top)))
+                              for _ in range(packing.nvars))
+                        for _ in range(rng.randint(0, 12))]
+                gens = [packing.pack(v) for v in vecs]
+                assert [packing.unpack(g) for g in gens] == vecs
+                gens += rng.sample(gens, rng.randint(0, len(gens)))
+                if rng.random() < 0.2:
+                    gens.append(0)
+                rng.shuffle(gens)
+                want = minimalize_pairwise(gens, packing)
+                assert _minimalize(gens, packing) == want
+                assert _minimalize(want, packing) == want
+            assert _minimalize([], packing) == []
+
+    def test_already_minimal_lists(self):
+        rng = random.Random(97)
+        for entries in [(2, 1), (2, 2), (1, 1, 2)]:
+            shape = Shape(entries)
+            for _ in range(30):
+                vecs = exponent_vectors(ideal_of(random_complex(shape, rng)))
+                for top in (1, 2, 9):
+                    packing = _Packing.for_exponents(shape.num_vertices, top)
+                    gens = [packing.pack(v) for v in vecs]
+                    want = minimalize_pairwise(gens, packing)
+                    assert sorted(want) == sorted(gens)
+                    assert _minimalize(gens, packing) == want
 
 
 def _random_packed_ideal(rng, packing, size):
