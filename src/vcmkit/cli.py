@@ -201,14 +201,14 @@ def _witness_json(witness):
 def cmd_info(args):
     delta, _, digest = _load_complex(args.file)
     pure = delta.is_pure()
-    relevant = len(delta.relevant_facet_masks())
+    relevant = sum(map(delta.shape.is_relevant_mask, delta.facet_set))
     verdicts = {
         "dim": delta.dim,
-        "num_facets": len(delta.facet_masks),
+        "num_facets": len(delta.facet_set),
         "pure": pure,
         "balanced": delta.is_balanced(),
         "relevant_facets": relevant,
-        "irrelevant_facets": len(delta.facet_masks) - relevant,
+        "irrelevant_facets": len(delta.facet_set) - relevant,
         "gallery_connected": delta.gallery_connected() if pure else None,
         "codim": codim(delta) if relevant else None,
         "codim_affine": codim_affine(delta),

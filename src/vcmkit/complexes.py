@@ -8,8 +8,11 @@ loops are single integer operations; Python integers give the wide fallback
 past 64 vertices for free.
 
 A complex is an immutable antichain of facet masks.  Construction normalises
-(absorbs dominated faces, dedupes, sorts canonically), so every derived
-complex built from masks (a union, a saturation) is again in canonical form.
+to a frozenset of masks (absorbs dominated faces, dedupes), so every derived
+complex built from masks (a union, a saturation) is again in normal form, and
+two complexes are equal when their facet sets are.  The canonical facet order
+(lexicographic on vertices) is sorted on first use, for output and for the
+code that takes "the first facet"; membership, sizes and bits read the set.
 """
 
 from __future__ import annotations
@@ -176,17 +179,24 @@ class Shape:
         face, which the caller reads by its own, slower rules."""
         if type(face) is not list:
             return None
-        entries, offsets = self.entries, self._offsets
+        spans = self._spans
         mask = 0
         for v in face:
             if type(v) is not list or len(v) != 2:
                 return None
             c, j = v
-            if not (type(c) is int and type(j) is int
-                    and 0 < c <= len(entries) and 0 <= j <= entries[c - 1]):
+            if type(c) is not int or type(j) is not int or c not in spans:
                 return None
-            mask |= 1 << (offsets[c - 1] + j)
+            base, top = spans[c]
+            if not 0 <= j <= top:
+                return None
+            mask |= 1 << (base + j)
         return mask if mask.bit_count() == len(face) else None
+
+    @cached_property
+    def _spans(self) -> dict:
+        """Component c (1-based) -> (bit of x_{c,0}, top index n_c): r entries."""
+        return {c: (base, n) for c, (base, n) in enumerate(zip(self._offsets, self.entries), 1)}
 
     def face_from_mask(self, mask: int) -> Face:
         if mask >> self._offsets[-1]:
@@ -257,25 +267,35 @@ def is_relevant(face, shape: Shape) -> bool:
 class SimplicialComplex:
     """Immutable simplicial complex given by its facets.
 
-    ``facet_masks == ()`` is the void complex (no faces at all);
-    ``facet_masks == (0,)`` is the complex whose only face is the empty face.
+    Built from a shape and facet masks, in any order and with repeats or
+    dominated masks allowed.  The normal form is ``facet_set``, the
+    frozenset of maximal masks; ``facet_masks``, the same masks in
+    canonical order, is computed on first use.  ``facet_set`` empty is the
+    void complex (no faces at all); ``facet_set == {0}`` is the complex
+    whose only face is the empty face.
     """
 
     shape: Shape
-    facet_masks: tuple  # tuple[int, ...]
+    facet_set: frozenset  # frozenset[int]; a tuple, list or set of masks on input
 
     def __post_init__(self):
         full = self.shape.full_mask
-        for m in self.facet_masks:
+        masks = self.facet_set
+        for m in masks:
             if m & ~full:
                 raise InvalidVertexError(f"facet mask {m:#x} uses bits outside shape {self.shape}")
-        # Normalise: drop dominated faces, dedupe, sort canonically.  Distinct
-        # masks of one size cannot contain each other, so only mixed sizes
-        # need the domination pass.
-        kept = set(self.facet_masks)
+        # Normalise: drop dominated faces, dedupe.  Distinct masks of one size
+        # cannot contain each other, so only mixed sizes need the domination
+        # pass.
+        kept = frozenset(masks)
         if len(set(map(int.bit_count, kept))) > 1:
-            kept = _maximal_masks(kept)
-        object.__setattr__(self, "facet_masks", tuple(sorted(kept, key=self.shape.bits_key)))
+            kept = frozenset(_maximal_masks(kept))
+        object.__setattr__(self, "facet_set", kept)
+
+    @cached_property
+    def facet_masks(self) -> tuple:
+        """The facet masks in canonical order: lexicographic on vertices."""
+        return tuple(sorted(self.facet_set, key=self.shape.bits_key))
 
     @classmethod
     def from_facets(cls, shape: Shape, facets: Iterable) -> "SimplicialComplex":
@@ -290,7 +310,7 @@ class SimplicialComplex:
 
     @property
     def is_void(self) -> bool:
-        return not self.facet_masks
+        return not self.facet_set
 
     @property
     def facets(self) -> tuple:
@@ -301,12 +321,12 @@ class SimplicialComplex:
         """Dimension, or None for the void complex."""
         if self.is_void:
             return None
-        return max(_popcount(m) for m in self.facet_masks) - 1
+        return max(_popcount(m) for m in self.facet_set) - 1
 
     @cached_property
     def _face_masks(self) -> tuple:
         seen = set()
-        for f in self.facet_masks:
+        for f in self.facet_set:
             sub = f
             while True:
                 seen.add(sub)
@@ -323,7 +343,7 @@ class SimplicialComplex:
         return tuple(self.shape.face_from_mask(m) for m in self._face_masks)
 
     def has_face_mask(self, mask: int) -> bool:
-        return any(mask & ~f == 0 for f in self.facet_masks)
+        return any(mask & ~f == 0 for f in self.facet_set)
 
     def is_face(self, face) -> bool:
         return self.has_face_mask(self.shape.mask_of(face))
@@ -331,14 +351,14 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         if self.is_void:
             raise ValueError("purity is undefined for the void complex")
-        sizes = {_popcount(m) for m in self.facet_masks}
+        sizes = {_popcount(m) for m in self.facet_set}
         return len(sizes) == 1
 
     # -- component-aware predicates --------------------------------------
 
     def is_balanced(self) -> bool:
         """Every facet has exactly one vertex in every component."""
-        return all(map(self.shape.is_balanced_mask, self.facet_masks))
+        return all(map(self.shape.is_balanced_mask, self.facet_set))
 
     def relevant_facet_masks(self) -> tuple:
         return tuple(f for f in self.facet_masks if self.shape.is_relevant_mask(f))
@@ -357,9 +377,9 @@ class SimplicialComplex:
         """
         if not self.is_pure():
             raise ValueError("gallery-connectedness is only defined for pure complexes")
-        if len(self.facet_masks) <= 1:
+        if len(self.facet_set) <= 1:
             return True
-        parent = list(range(len(self.facet_masks)))
+        parent = list(range(len(self.facet_set)))
 
         def root(i):
             while parent[i] != i:
@@ -368,7 +388,7 @@ class SimplicialComplex:
 
         parts = len(parent)
         first = {}
-        for i, f in enumerate(self.facet_masks):
+        for i, f in enumerate(self.facet_set):
             rest = f
             while rest:
                 u = rest & -rest
@@ -421,4 +441,4 @@ def _maximal_masks(masks) -> list:
 def union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     if a.shape != b.shape:
         raise ValueError("cannot union complexes on different shapes")
-    return SimplicialComplex(a.shape, a.facet_masks + b.facet_masks)
+    return SimplicialComplex(a.shape, a.facet_set | b.facet_set)

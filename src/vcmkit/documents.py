@@ -130,7 +130,7 @@ def parse_complex_document(text: str):
         if labelled.bit_count() != len(labels):
             raise DocumentError("labels: two labels name the same vertex")
         used = 0
-        for m in delta.facet_masks:
+        for m in delta.facet_set:
             used |= m
         if labelled != used:
             raise DocumentError("labels: labelled vertices differ from the vertices in use")
@@ -310,7 +310,7 @@ def recheck_certificate(data) -> tuple:
     except DocumentError as exc:
         return False, str(exc)
     shape = cert.delta.shape
-    for m in cert.delta_prime.facet_masks:
+    for m in cert.delta_prime.facet_set:
         if shape.is_relevant_mask(m):
             return False, "augmentation contains a relevant facet"
     try:

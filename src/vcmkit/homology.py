@@ -272,7 +272,7 @@ def _hochster_sweep(delta: SimplicialComplex, characteristic: int):
     layers = _layers(delta.face_masks())
     packed = _packed_boundaries(layers)
     used = 0
-    for f in delta.facet_masks:
+    for f in delta.facet_set:
         used |= f
     unused = delta.shape.full_mask & ~used
     memo = {f: () for layer in layers[1:] for f in layer}
@@ -329,7 +329,7 @@ def _sweep_vertices(delta: SimplicialComplex) -> list:
     """The vertices in use, as single-bit masks, once the pdim sweep's
     subset count is checked against the bound."""
     used = 0
-    for f in delta.facet_masks:
+    for f in delta.facet_set:
         used |= f
     bits = [1 << b for b in range(used.bit_length()) if used >> b & 1]
     count = sum(comb(len(bits), j) for j in range(delta.dim))

@@ -62,7 +62,8 @@ def verify_shelling_masks(delta: SimplicialComplex, order: Iterable[int]) -> She
     if delta.is_void or not delta.is_pure():
         raise ValueError("shellings are only defined for nonvoid pure complexes")
     masks = list(order)
-    if len(masks) != len(set(masks)) or set(masks) != set(delta.facet_masks):
+    listed = set(masks)
+    if len(masks) != len(listed) or listed != delta.facet_set:
         raise ValueError("order does not list the facets of the complex exactly once")
     ridges = set()
     holders = {}  # vertex bit -> bitset of the order positions whose facet holds it
@@ -200,7 +201,7 @@ def balanced_vcm_certificate(delta: SimplicialComplex) -> BalancedCertificate:
 
 
 def _check_certificate(delta: SimplicialComplex, cert: BalancedCertificate) -> None:
-    if any(delta.shape.is_relevant_mask(m) for m in cert.delta_prime.facet_masks):
+    if any(delta.shape.is_relevant_mask(m) for m in cert.delta_prime.facet_set):
         raise AssertionError("augmentation contains a relevant facet")
     check = verify_shelling_masks(union(delta, cert.delta_prime), cert.order_masks)
     if not check.ok:

@@ -178,7 +178,7 @@ def ideal_of(delta: SimplicialComplex) -> SqfIdeal:
     # F | w is a face iff some facet holds F and w: one bitset of facet
     # positions per vertex, ANDed over F, tells without listing the faces.
     holders = {}
-    for i, f in enumerate(delta.facet_masks):
+    for i, f in enumerate(delta.facet_set):
         rest = f
         while rest:
             u = rest & -rest
@@ -186,7 +186,7 @@ def ideal_of(delta: SimplicialComplex) -> SqfIdeal:
             holders[u] = holders.get(u, 0) | 1 << i
 
     def nonfaces(face, cand):
-        common = (1 << len(delta.facet_masks)) - 1
+        common = (1 << len(delta.facet_set)) - 1
         rest = face
         while rest:
             u = rest & -rest
@@ -246,7 +246,7 @@ def saturate_by_B(delta: SimplicialComplex) -> SimplicialComplex:
 
 
 def is_saturated(delta: SimplicialComplex) -> bool:
-    return delta.facet_masks == delta.remove_irrelevant_facets().facet_masks
+    return all(map(delta.shape.is_relevant_mask, delta.facet_set))
 
 
 def codim(delta: SimplicialComplex) -> int:
@@ -256,7 +256,7 @@ def codim(delta: SimplicialComplex) -> int:
     anything in the product.
     """
     shape = delta.shape
-    rel = delta.relevant_facet_masks()
+    rel = [f for f in delta.facet_set if shape.is_relevant_mask(f)]
     if not rel:
         raise EmptyVarietyError("no relevant facets: the subscheme of the product is empty")
     return shape.weight - max(_popcount(f) - shape.r for f in rel)

@@ -226,9 +226,31 @@ class TestConstruction:
             rng.shuffle(masks)
             cases.append(tuple(masks))
         shape = Shape((8,))
-        for masks in cases:
+        for i, masks in enumerate(cases):
             want = tuple(sorted(maximal_masks_pairwise(masks), key=shape.bits_key))
-            assert SimplicialComplex(shape, masks).facet_masks == want
+            got = SimplicialComplex(shape, masks)
+            assert got.facet_masks == want
+            assert got.facet_set == frozenset(want)
+            # Input order and repeats do not change the complex or its hash.
+            again = list(masks) + rng.sample(masks, min(2, len(masks)))
+            rng.shuffle(again)
+            other = SimplicialComplex(shape, tuple(again))
+            assert other == got and hash(other) == hash(got)
+            # A union is the normal form of both mask lists together.
+            partner = cases[(i + 1) % len(cases)]
+            joined = union(got, SimplicialComplex(shape, partner))
+            assert joined.facet_set == maximal_masks_pairwise(masks + partner)
+            assert joined.facet_masks == tuple(
+                sorted(maximal_masks_pairwise(masks + partner), key=shape.bits_key))
+            # An out-of-shape mask is named by its first place in the input.
+            if masks:
+                bad = [*masks]
+                high = [1 << 9 | m for m in rng.sample(masks, min(2, len(masks)))]
+                for at, m in zip(sorted(rng.sample(range(len(bad) + 1), len(high))), high):
+                    bad.insert(at, m)
+                first = next(m for m in bad if m >> 9)
+                with pytest.raises(InvalidVertexError, match=f"facet mask {first:#x} uses bits"):
+                    SimplicialComplex(shape, tuple(bad))
 
 
 class TestQueries:

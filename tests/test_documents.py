@@ -12,6 +12,7 @@ from vcmkit import (
     Vertex,
     certify_balanced,
     certify_vcm_via_union,
+    union,
 )
 from vcmkit.documents import (
     DocumentError,
@@ -411,3 +412,46 @@ class TestCertificateDocuments:
                              "verdict", "codim", "evidence"}
         assert data["evidence"]["kind"] == "shelling"
         assert dumps(data) == dumps(certificate_to_dict(shelling_certificate()))
+
+
+class TestRecheckIgnoresListOrder:
+    """A certificate's two facet lists are sets: their order and repeats do
+    not change a recheck, and a recheck never sorts a complex."""
+
+    @staticmethod
+    def shuffled_certificate(seed):
+        rng = random.Random(seed)
+        shape = Shape((2, 2, 1))
+        delta = SimplicialComplex(shape, tuple(rng.sample(shape.balanced_masks(), 7)))
+        data = json.loads(dumps(certificate_to_dict(certify_balanced(delta))))
+        for key in ("delta_facets", "delta_prime_facets"):
+            faces = data[key]
+            faces.append(rng.choice(faces))
+            rng.shuffle(faces)
+        return data
+
+    def test_shuffled_lists_with_a_repeat_recheck(self):
+        for seed in range(5):
+            assert recheck_certificate(self.shuffled_certificate(seed)) == (True, None)
+
+    def test_relevant_augmentation_still_fails(self):
+        data = self.shuffled_certificate(0)
+        data["delta_prime_facets"].insert(3, data["delta_facets"][0])
+        assert recheck_certificate(data) == (False, "augmentation contains a relevant facet")
+
+    def test_recheck_and_union_sort_nothing(self, monkeypatch):
+        data = self.shuffled_certificate(1)
+        a = cx((2, 1), [(1, 0), (2, 0)], [(1, 1), (2, 1)])
+        b = cx((2, 1), [(1, 2), (2, 0)], [(1, 0), (1, 1)])
+        calls = []
+        bits_key = Shape.bits_key
+
+        def counted(self, mask):
+            calls.append(mask)
+            return bits_key(self, mask)
+
+        monkeypatch.setattr(Shape, "bits_key", counted)
+        assert recheck_certificate(data) == (True, None)
+        joined = union(a, b)
+        assert calls == []
+        assert len(joined.facet_masks) == 4 and calls  # the counter does count
