@@ -3,6 +3,7 @@ complexes on products of projective spaces."""
 
 from .complexes import (
     Face,
+    FaceLimitError,
     InvalidVertexError,
     Shape,
     SimplicialComplex,

@@ -408,8 +408,9 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, code = args.func(args)
-    # DocumentError, EmptyVarietyError, VertexLimitError, CandidateLimitError
-    # and the UTF-8 and JSON decode errors are all ValueErrors.
+    # DocumentError, EmptyVarietyError, VertexLimitError, FaceLimitError,
+    # CandidateLimitError and the UTF-8 and JSON decode errors are all
+    # ValueErrors.
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

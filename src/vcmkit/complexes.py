@@ -13,6 +13,11 @@ complex built from masks (a union, a saturation) is again in normal form, and
 two complexes are equal when their facet sets are.  The canonical facet order
 (lexicographic on vertices) is sorted on first use, for output and for the
 code that takes "the first facet"; membership, sizes and bits read the set.
+
+Faces are grown, not sorted: one table gives each vertex the bitset of the
+facets holding it, a face grows by each neighbour of its top vertex above
+it whose bitset meets the AND of the face's own vertices' bitsets, and
+each size comes out in lexicographic vertex order.
 """
 
 from __future__ import annotations
@@ -52,6 +57,16 @@ class VertexLimitError(ValueError):
 # complex_of grow may hold up to 2^n faces.  projective_dimension's pruned
 # sweep caps the subsets it visits at 2**MAX_SWEEP_VERTICES instead.
 MAX_SWEEP_VERTICES = 20
+
+
+class FaceLimitError(ValueError):
+    """Listing a complex's faces was refused before it started: they may
+    number more than MAX_FACES (see `SimplicialComplex.face_layers`)."""
+
+
+# Largest face count a complex's face walk may reach, read as the smaller of
+# sum 2^|F| over the facets F and 2^m on the m vertices in use.
+MAX_FACES = 1 << MAX_SWEEP_VERTICES
 
 
 # Largest vertex count of a shape: `info` on one small facet at the bound,
@@ -324,19 +339,82 @@ class SimplicialComplex:
         return max(_popcount(m) for m in self.facet_set) - 1
 
     @cached_property
+    def _vertex_table(self) -> tuple:
+        """(holders, cover): vertex bit -> bitset of the facets holding it,
+        and -> OR of those facets, the vertex's neighbours and itself."""
+        holders, cover = {}, {}
+        for i, f in enumerate(self.facet_set):
+            bit = 1 << i
+            rest = f
+            while rest:
+                low = rest & -rest
+                holders[low] = holders.get(low, 0) | bit
+                cover[low] = cover.get(low, 0) | f
+                rest ^= low
+        return holders, cover
+
+    @property
+    def vertex_holders(self) -> dict:
+        """Vertex bit -> bitset of the facets holding it, bit i standing for
+        the i-th facet of `facet_set`'s iteration order.  A face lies in the
+        facets of the AND of its vertices' bitsets."""
+        return self._vertex_table[0]
+
+    @cached_property
+    def _face_layers(self) -> list:
+        if not self.facet_set:
+            return []
+        bound = min(sum(1 << _popcount(f) for f in self.facet_set),
+                    1 << len(self.vertex_holders))
+        if bound > MAX_FACES:
+            raise FaceLimitError(
+                f"the facets may hold {bound} faces, more than the max_faces={MAX_FACES} face bound")
+        # A face grows only by vertices above its top one, so each face has
+        # one parent, and lexicographic order within a size is the parents'
+        # order, then the added vertex's.  The added vertex shares a facet
+        # with the top one, so `above` maps a face's bit_length to the
+        # neighbours of its top vertex above it (the empty face: all
+        # vertices), and the walk costs what the faces and edges do.
+        holders, cover = self._vertex_table
+        above = {0: sorted(holders.items())}
+        for v, vcover in cover.items():
+            rest = vcover & -(v << 1)
+            grow = above[v.bit_length()] = []
+            while rest:
+                low = rest & -rest
+                grow.append((low, holders[low]))
+                rest ^= low
+        layer, held = [0], [(1 << len(self.facet_set)) - 1]
+        layers = [layer]
+        while True:
+            grown, grown_held = [], []
+            for f, h in zip(layer, held):
+                for w, hw in above[f.bit_length()]:
+                    g = h & hw
+                    if g:
+                        grown.append(f | w)
+                        grown_held.append(g)
+            if not grown:
+                return layers
+            layers.append(grown)
+            layer, held = grown, grown_held
+
+    def face_layers(self) -> list:
+        """layers[s] lists the masks of the faces of size s in lexicographic
+        vertex order, from the empty face up; [] for the void complex.
+        Computed once and shared: callers must not modify the lists.
+        Refuses with FaceLimitError, before listing any face, a complex
+        that may have more than MAX_FACES faces: more than the smaller of
+        sum 2^|F| over its facets F and 2^m on its m vertices in use."""
+        return self._face_layers
+
+    @cached_property
     def _face_masks(self) -> tuple:
-        seen = set()
-        for f in self.facet_set:
-            sub = f
-            while True:
-                seen.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & f
-        return tuple(sorted(seen, key=lambda m: (_popcount(m), self.shape.bits_key(m))))
+        return tuple(itertools.chain.from_iterable(self._face_layers))
 
     def face_masks(self) -> tuple:
-        """All face masks, sorted by (cardinality, vertex order)."""
+        """All face masks, by (cardinality, vertex order): the layers of
+        `face_layers` in turn."""
         return self._face_masks
 
     def faces(self) -> tuple:

@@ -2,19 +2,24 @@
 
 All homology is computed from full downward-closed face sets (not facet
 lists), split into layers by face size; one routine turns layers into
-ranks.  Reisner's criterion walks the links of nonempty faces once, in
-`_failing_links`, for `is_cm_reisner` and for `UnionReisner`, the union
-test of the search in `vres`.  Only those links go through the bounded
-lru_cache keyed on canonical face-mask tuples, because links of different
-complexes repeat.  Whole complexes and the restrictions of the Hochster
-sweeps do not repeat, so the sweeps filter pre-layered faces for each
-vertex subset and skip the subsets that are faces (their restrictions are
-simplices).
+ranks.  A complex's layers come from `SimplicialComplex.face_layers`, in
+lexicographic vertex order.  Reisner's criterion walks the links of
+nonempty faces once, in `_failing_links`, for `is_cm_reisner` and for the
+base complex of `UnionReisner`, the union test of the search in `vres`.
+It takes each link's layers from the complex's by a filter, ranks them
+uncached, and skips the faces whose links are cones: a face lying in the
+facets that hold it together with some further vertex v has every face of
+its link in a facet with v, and a cone has no homology.  Only the links of
+the search's unions go through the bounded lru_cache keyed on canonical
+face-mask tuples, because they repeat across the unions of one search.
+Whole complexes and the restrictions of the Hochster sweeps do not repeat,
+so the sweeps filter the layered faces for each vertex subset and skip the
+subsets that are faces (their restrictions are simplices).
 
-One preparation per check: `_Prepared` lists, layers and packs a
-complex's faces once and ranks the whole complex at most once.  That
-rank is Reisner's test on the empty face's link, and it is also the pdim
-sweep's restriction to the vertices in use, which is the complex itself.
+One preparation per check: `_Prepared` layers and packs a complex's faces
+once and ranks the whole complex at most once.  That rank is Reisner's
+test on the empty face's link, and it is also the pdim sweep's
+restriction to the vertices in use, which is the complex itself.
 `cm_verdicts`, which `check-cm` calls, runs both tests on one preparation;
 `is_cm_reisner` and `projective_dimension` each run the same code on one
 of their own.
@@ -179,11 +184,12 @@ def _ranks_from_layers(layers: list, characteristic: int, packed: dict = None) -
 def _ranks_from_faces(faces: tuple, characteristic: int) -> tuple:
     """Reduced homology ranks of a full face set in the `_canon` order.
 
-    The cached entry point for links: the key is shared by every link with
-    the same face set, across complexes.  On the benchmark's inputs (seed 7)
-    10 search rounds make 10,744 lookups and 7,895 hits, 6,810 of them
-    within one search; 4096 entries keep every hit an unbounded cache gets,
-    1024 keep 98%.  20 check-cm rounds make 2,046 lookups and 55 hits.
+    The cached entry point for the links of the search's unions: the key
+    is shared by every link with the same face set, across unions.  On the
+    benchmark's inputs (seed 7) 10 search rounds make 8,909 lookups and
+    6,872 hits and leave 2,037 entries, so 4096 entries keep every hit an
+    unbounded cache gets.  `check-cm` makes no lookups: its links are
+    ranked uncached.
     """
     return _ranks_from_layers(_layers(faces), characteristic)
 
@@ -205,20 +211,40 @@ def _link_defect(link_faces, characteristic: int):
     return _low_homology(_ranks_from_faces(_canon(link_faces), characteristic))
 
 
-def _failing_links(faces: tuple, dim: int, characteristic: int):
-    """Yield (sigma, `_low_homology` of its link) for each face sigma of
-    size below `dim` whose link fails Reisner's test, lazily, in the order
-    of `faces`: the nonempty faces of a complex of dimension `dim` by size
-    (links are taken within `faces`).  Larger faces have links {emptyset}
-    or points, which cannot fail.  The links go through the cache; the link
-    of the empty face, the whole complex, never repeats and is ranked by
-    the caller (see `_reisner`)."""
-    for sigma in faces:
-        if sigma.bit_count() >= dim:
-            break
-        d = _link_defect([f ^ sigma for f in faces if f & sigma == sigma], characteristic)
-        if d is not None:
-            yield sigma, d
+def _failing_links(delta: SimplicialComplex, characteristic: int):
+    """Yield (sigma, `_low_homology` of its link) for each nonempty face
+    sigma of size below delta's dimension whose link fails Reisner's test,
+    lazily, in the order of delta's `face_layers`.  Larger faces have
+    links {emptyset} or points, which cannot fail, and a face whose link is
+    a cone (see the module docstring) is skipped.  The link of the empty
+    face, the whole complex, is ranked by the caller (see `_reisner`).
+
+    Sigma's link takes its layers from the sizes |sigma| and up, as
+    f ^ sigma for the faces f holding sigma.  Two faces of one size that
+    hold sigma differ where their link faces do, so each link layer keeps
+    the lexicographic order `_packed_boundaries` needs."""
+    layers = delta.face_layers()
+    vertex_holders = delta.vertex_holders
+    vertices = list(vertex_holders.items())
+    for size in range(1, len(layers) - 2):
+        for sigma in layers[size]:
+            held = -1
+            rest = sigma
+            while rest:
+                low = rest & -rest
+                held &= vertex_holders[low]
+                rest ^= low
+            if any(not held & ~hv for v, hv in vertices if not v & sigma):
+                continue
+            link = []
+            for layer in layers[size:]:
+                part = [f ^ sigma for f in layer if f & sigma == sigma]
+                if not part:
+                    break
+                link.append(part)
+            d = _low_homology(_ranks_from_layers(link, characteristic))
+            if d is not None:
+                yield sigma, d
 
 
 def reduced_homology_ranks(delta: SimplicialComplex, field: CoefficientField) -> dict:
@@ -229,7 +255,7 @@ def reduced_homology_ranks(delta: SimplicialComplex, field: CoefficientField) ->
     """
     if delta.is_void:
         return {}
-    return dict(_ranks_from_layers(_layers(delta.face_masks()), field.characteristic))
+    return dict(_ranks_from_layers(delta.face_layers(), field.characteristic))
 
 
 # -- Hochster's formula ---------------------------------------------------
@@ -269,7 +295,7 @@ def _hochster_sweep(delta: SimplicialComplex, characteristic: int):
     some vertices lie in no face, subsets that differ only in those have the
     same restriction and share one computation.
     """
-    layers = _layers(delta.face_masks())
+    layers = delta.face_layers()
     packed = _packed_boundaries(layers)
     used = 0
     for f in delta.facet_set:
@@ -309,15 +335,15 @@ def hochster_betti(delta: SimplicialComplex, field: CoefficientField) -> BettiTa
 
 class _Prepared:
     """The faces of one nonvoid complex, layered and packed once, for
-    Reisner's test and the pdim sweep.  `whole` ranks the whole complex on
-    first use: it is the link of the empty face in Reisner's test, and the
-    sweep's restriction to W = the vertices in use."""
+    Reisner's test and the pdim sweep.  `packed` has a key for every
+    nonempty face.  `whole` ranks the whole complex on first use: it is the
+    link of the empty face in Reisner's test, and the sweep's restriction
+    to W = the vertices in use."""
 
     def __init__(self, delta: SimplicialComplex, characteristic: int):
         self.delta = delta
         self.characteristic = characteristic
-        self.faces = delta.face_masks()
-        self.layers = _layers(self.faces)
+        self.layers = delta.face_layers()
         self.packed = _packed_boundaries(self.layers)
 
     @cached_property
@@ -347,7 +373,6 @@ def _pdim(prep: _Prepared, bits: list) -> int:
     used = sum(bits)
     free = delta.shape.num_vertices - len(bits)  # vertices in no face
     best = codim_affine(delta)
-    is_face = set(prep.faces)
     layers, packed, characteristic = prep.layers, prep.packed, prep.characteristic
     for size in range(len(bits), 0, -1):
         k = size + free
@@ -355,7 +380,7 @@ def _pdim(prep: _Prepared, bits: list) -> int:
             break
         for combo in itertools.combinations(bits, size):
             w = sum(combo)
-            if w in is_face:
+            if w in packed:  # a nonempty face
                 continue
             top = k - best  # faces above this size cannot raise best
             if w == used:
@@ -404,7 +429,7 @@ def _reisner(prep: _Prepared) -> ReisnerVerdict:
         d = _low_homology(prep.whole)
         if d is not None:
             return ReisnerVerdict(False, (frozenset(), d))
-    for sigma, d in _failing_links(prep.faces[1:], delta.dim, prep.characteristic):
+    for sigma, d in _failing_links(delta, prep.characteristic):
         return ReisnerVerdict(False, (delta.shape.face_from_mask(sigma), d))
     return ReisnerVerdict(True, None)
 
@@ -454,9 +479,8 @@ class UnionReisner:
 
     def __init__(self, base: SimplicialComplex, candidates: list, characteristic: int):
         self.characteristic = characteristic
-        faces = base.face_masks()
         self.base = 1 << len(candidates)
-        holders = dict.fromkeys(faces, self.base)
+        holders = dict.fromkeys(itertools.chain.from_iterable(base.face_layers()), self.base)
         for i, c in enumerate(candidates):
             bit = 1 << i
             sub = c
@@ -470,7 +494,7 @@ class UnionReisner:
         # with its candidate bitset: a union keeps such a failure unless a
         # chosen candidate contains the face.
         self.bad = {s: holders[s] & ~self.base
-                    for s, _ in _failing_links(faces[1:], base.dim, characteristic)}
+                    for s, _ in _failing_links(base, characteristic)}
         self.universe = _canon(holders)
         # The nonempty universe faces whose links can fail.
         self.low = [f for f in self.universe[1:] if f.bit_count() < base.dim]

@@ -37,6 +37,7 @@ from vcmkit import (
 )
 from vcmkit.complexes import _as_vertex, format_face
 from vcmkit.documents import DocumentError, _load_json, _read_face, _read_shape
+from vcmkit.homology import _link_defect
 from vcmkit.linalg import gf2_rank
 from vcmkit.stanley_reisner import _by_degree
 from vcmkit.vres import BUDGET_EXCEEDED, CERTIFIED, DEFAULT_FIELD, EXHAUSTED, parse_polynomial
@@ -591,6 +592,64 @@ def boundary_rank_direct(cols, rows, characteristic):
 
 def canon_faces(face_masks):
     return tuple(sorted(sorted(face_masks), key=int.bit_count))
+
+
+def face_masks_sorted(delta):
+    """Every face mask, from the subsets of each facet, sorted by (size,
+    vertex order): the listing `face_masks` grows in layers instead."""
+    seen = set()
+    for f in delta.facet_set:
+        sub = f
+        while True:
+            seen.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & f
+    return tuple(sorted(seen, key=lambda m: (m.bit_count(), delta.shape.bits_key(m))))
+
+
+def failing_links_cached(delta, characteristic):
+    """(sigma, lowest homology below the top) for every face sigma, the empty
+    one included, of size below delta's dimension whose link fails
+    Reisner's test, in `face_masks_sorted` order.  Each link is filtered
+    from all the faces and ranked through the cached `_link_defect`, and no
+    cone is skipped: the walk `is_cm_reisner` made before it grew links
+    from layers."""
+    faces = face_masks_sorted(delta)
+    for sigma in faces:
+        if sigma.bit_count() >= delta.dim:
+            break
+        d = _link_defect([f ^ sigma for f in faces if f & sigma == sigma], characteristic)
+        if d is not None:
+            yield sigma, d
+
+
+def reisner_verdict_cached(delta, characteristic):
+    """`is_cm_reisner`'s verdict from the first face of `failing_links_cached`."""
+    for sigma, d in failing_links_cached(delta, characteristic):
+        return (False, (delta.shape.face_from_mask(sigma), d))
+    return (True, None)
+
+
+def random_pure_masks(n, k, size, rng):
+    """k distinct random facets of `size` of the n vertices."""
+    masks = set()
+    while len(masks) < k:
+        masks.add(sum(1 << p for p in rng.sample(range(n), size)))
+    return tuple(masks)
+
+
+def disconnected_pure_masks(n, per_part, size, rng):
+    """`per_part` random facets of `size` on each half of a random split of
+    the n vertices: a pure complex with two components."""
+    vertices = rng.sample(range(n), n)
+    masks = set()
+    for part in (vertices[:n // 2], vertices[n // 2:]):
+        chosen = set()
+        while len(chosen) < per_part:
+            chosen.add(sum(1 << p for p in rng.sample(part, size)))
+        masks |= chosen
+    return tuple(masks)
 
 
 @functools.lru_cache(maxsize=None)

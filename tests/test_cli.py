@@ -340,6 +340,15 @@ class TestSearchCommand:
         assert code == 3 and out == ""
         assert "candidate walk bound" in err
 
+    def test_face_bound_exit(self, tmp_path, capsys):
+        # One facet of all 31 vertices passes the candidate walk bound
+        # (C(31, 31) = 1 subset), but its 2^31 faces are refused unlisted.
+        facet = [(1, j) for j in range(30)] + [(2, 0)]
+        src = write_doc(tmp_path, "whole.json", complex_document(cx((29, 0), facet)))
+        code, out, err = run(capsys, "search", src)
+        assert code == 3 and out == ""
+        assert "may hold 2147483648 faces" in err
+
     def test_all_irrelevant_input(self, tmp_path, capsys):
         src = write_doc(tmp_path, "irr.json", complex_document(cx((1, 1), [(1, 0)])))
         code, _, err = run(capsys, "search", src)

@@ -13,7 +13,8 @@ from vcmkit import (
     is_relevant,
     union,
 )
-from vcmkit.complexes import MAX_SHAPE_VERTICES
+from vcmkit import complexes
+from vcmkit.complexes import MAX_FACES, MAX_SHAPE_VERTICES, FaceLimitError
 from helpers import (
     ODD_VERTICES,
     FaceNotInComplexError,
@@ -21,6 +22,7 @@ from helpers import (
     bits_key_tuple,
     cone,
     cx,
+    face_masks_sorted,
     faces_bruteforce,
     gallery_connected_pairwise,
     link,
@@ -269,6 +271,40 @@ class TestQueries:
                 d = random_complex(Shape(entries), rng)
                 got = set(d.faces())
                 assert got == faces_bruteforce(d)
+
+    def test_face_masks_against_sorted_subsets(self):
+        rng = random.Random(20261025)
+        cases = [SimplicialComplex(Shape((3,)), ()), SimplicialComplex(Shape((3,)), (0,))]
+        for entries in [(3, 0, 2), (0, 0, 4, 1), (5, 3), (2, 0, 2, 0, 3)]:
+            shape = Shape(entries)
+            cases += [random_complex(shape, rng, max_facets=12) for _ in range(15)]
+        # A path on 300 vertices: each face grows only by its top vertex's
+        # neighbours.
+        cases.append(SimplicialComplex(Shape((299,)), tuple(3 << i for i in range(299))))
+        for d in cases:
+            want = face_masks_sorted(d)
+            assert d.face_masks() == want
+            assert [m for layer in d.face_layers() for m in layer] == list(want)
+            assert all(len({m.bit_count() for m in layer}) == 1 for layer in d.face_layers())
+        assert cases[0].face_layers() == [] and cases[1].face_layers() == [[0]]
+
+    def test_face_bound_refuses_before_listing(self, monkeypatch):
+        # One facet of 31 vertices may hold 2^31 faces: listing them would
+        # exhaust memory, so a refusal shows that none was listed.
+        whole = SimplicialComplex(Shape((29, 0)), ((1 << 31) - 1,))
+        message = f"may hold 2147483648 faces, more than the max_faces={MAX_FACES} face bound"
+        with pytest.raises(FaceLimitError, match=message):
+            whole.face_masks()
+        # The bound is the smaller of sum 2^|F| and 2^(vertices in use): the
+        # boundary of the 7-vertex simplex sums to 7 * 2^6 = 448 but has at
+        # most 2^7 faces.
+        shape = Shape((6,))
+        boundary = SimplicialComplex(shape, tuple(127 ^ (1 << i) for i in range(7)))
+        monkeypatch.setattr(complexes, "MAX_FACES", 127)
+        with pytest.raises(FaceLimitError, match="may hold 128 faces"):
+            boundary.face_layers()
+        monkeypatch.setattr(complexes, "MAX_FACES", 128)
+        assert len(boundary.face_masks()) == 127
 
     def test_is_face(self, fig1):
         d = fig1.complex

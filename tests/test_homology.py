@@ -12,6 +12,7 @@ from vcmkit import (
     Vertex,
     VertexLimitError,
     codim_affine,
+    enumerate_irrelevant_candidate_facets,
     hochster_betti,
     ideal_of,
     irrelevant_complex,
@@ -43,8 +44,11 @@ from helpers import (
     canon_faces,
     cone,
     cx,
+    disconnected_pure_masks,
     euler_characteristic_reduced,
+    face_masks_sorted,
     faces_bruteforce,
+    failing_links_cached,
     fraction_rank,
     gf_rank_naive,
     hochster_betti_oracle,
@@ -53,7 +57,10 @@ from helpers import (
     link_bruteforce,
     max_index,
     random_complex,
+    random_pure_masks,
+    random_pure_relevant,
     ranks_from_faces_oracle,
+    reisner_verdict_cached,
 )
 
 V = Vertex
@@ -345,6 +352,7 @@ class TestSweepAgainstOracle:
 
     def test_all_five_vertex_complexes_over_q(self, five_vertex):
         for delta in five_vertex:
+            assert delta.face_masks() == face_masks_sorted(delta)
             table = hochster_betti(delta, QQ)
             assert table == hochster_betti_oracle(delta, 0)
             assert projective_dimension(delta, QQ) == max_index(table)
@@ -561,6 +569,76 @@ class TestCmVerdicts:
         monkeypatch.setattr(homology, "_ranks_from_layers", counting)
         cm_verdicts(delta, field)
         assert calls.count(True) == 1
+
+    @staticmethod
+    def non_cm_cases(rp2):
+        """RP^2 and seeded draws like the check-cm benchmark's: random pure
+        complexes and pure complexes on two disjoint vertex sets."""
+        rng = random.Random(20261025)
+        cases = [rp2]
+        for entries, k, size in (((4, 4), 10, 4), ((4, 5), 12, 3)):
+            shape = Shape(entries)
+            cases += [SimplicialComplex(shape, random_pure_masks(shape.num_vertices, k, size, rng))
+                      for _ in range(4)]
+        for entries in ((4, 4), (3, 3, 3)):
+            shape = Shape(entries)
+            cases += [SimplicialComplex(shape, disconnected_pure_masks(shape.num_vertices, 5, 3, rng))
+                      for _ in range(3)]
+        return cases
+
+    @pytest.mark.parametrize("field", [GF(2), GF(3), QQ])
+    def test_witnesses_match_cached_walk(self, rp2, field):
+        witnesses = set()
+        for delta in self.non_cm_cases(rp2):
+            want = reisner_verdict_cached(delta, field.characteristic)
+            assert is_cm_reisner(delta, field) == want
+            assert cm_verdicts(delta, field)[0] == want
+            witnesses.add(want[1] and bool(want[1][0]))
+        assert {False, True} <= witnesses  # the empty face and a nonempty face
+
+    def test_no_cached_rank_lookup(self, rp2, monkeypatch):
+        calls = []
+        original = homology._ranks_from_faces
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(homology, "_ranks_from_faces", counting)
+        for delta in self.non_cm_cases(rp2)[:6]:
+            for field in self.FIELDS:
+                cm_verdicts(delta, field)
+        assert not calls
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_cone_links_are_not_ranked(self, field, monkeypatch):
+        # In one facet every face lies with a further vertex, so every link
+        # Reisner's test would rank is a cone: only the whole is ranked.
+        delta = SimplicialComplex(Shape((11, 0)), ((1 << 13) - 1,))
+        calls = []
+        original = homology._ranks_from_layers
+
+        def counting(layers, *args):
+            calls.append(len(layers))
+            return original(layers, *args)
+
+        monkeypatch.setattr(homology, "_ranks_from_layers", counting)
+        assert cm_verdicts(delta, field) == ((True, None), 0)
+        assert calls == [14]
+
+    @pytest.mark.parametrize("characteristic", [0, 2, 3])
+    def test_union_bad_faces_match_cached_walk(self, characteristic):
+        rng = random.Random(20261026 + characteristic)
+        shape = Shape((2, 2, 2))
+        failing = 0
+        for _ in range(12):
+            base = random_pure_relevant(shape, rng, 3, max_facets=8)
+            candidates = enumerate_irrelevant_candidate_facets(base)
+            want = {s: sum(1 << i for i, c in enumerate(candidates) if s & c == s)
+                    for s, _ in failing_links_cached(base, characteristic) if s}
+            assert UnionReisner(base, candidates, characteristic).bad == want
+            failing += bool(want)
+        assert failing
 
     def test_void_and_sweep_bound(self):
         with pytest.raises(ValueError, match="undefined for the void complex"):
