@@ -17,12 +17,10 @@ so the sweeps filter the layered faces for each vertex subset and skip the
 subsets that are faces (their restrictions are simplices).
 
 One preparation per check: `_Prepared` layers and packs a complex's faces
-once and ranks the whole complex at most once.  That rank is Reisner's
-test on the empty face's link, and it is also the pdim sweep's
-restriction to the vertices in use, which is the complex itself.
-`cm_verdicts`, which `check-cm` calls, runs both tests on one preparation;
-`is_cm_reisner` and `projective_dimension` each run the same code on one
-of their own.
+once and ranks the whole complex at most once.  Over a field, Reisner's
+condition holds iff pdim = `codim_affine` (Reisner 1976; Auslander-
+Buchsbaum), so `cm_verdicts`, which `check-cm` calls, sweeps first and
+walks links only to find a non-CM complex's witness.
 
 There are two sweeps.  `hochster_betti` reports every Betti number, so it
 walks all 2^n vertex subsets and shares work only between subsets that
@@ -447,14 +445,16 @@ def is_cm_reisner(delta: SimplicialComplex, field: CoefficientField) -> ReisnerV
 
 
 def cm_verdicts(delta: SimplicialComplex, field: CoefficientField) -> tuple:
-    """(`is_cm_reisner`, `projective_dimension`) of one complex, from one
-    preparation: its faces are layered and packed once, and the whole
-    complex is ranked once for both.  The sweep bound is checked first."""
+    """(`is_cm_reisner`, `projective_dimension`) from one preparation, the
+    sweep bound checked first.  A CM complex (pdim = `codim_affine`) gets
+    (True, None) by Reisner's theorem, with no link walked."""
     if delta.is_void:
         raise ValueError("Cohen-Macaulayness is undefined for the void complex")
     bits = _sweep_vertices(delta)
     prep = _Prepared(delta, field.characteristic)
-    return _reisner(prep), _pdim(prep, bits)
+    pdim = _pdim(prep, bits)
+    cm = pdim == codim_affine(delta)
+    return (ReisnerVerdict(True, None) if cm else _reisner(prep)), pdim
 
 
 class UnionReisner:

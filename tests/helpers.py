@@ -37,7 +37,7 @@ from vcmkit import (
 )
 from vcmkit.complexes import _as_vertex, format_face
 from vcmkit.documents import DocumentError, _load_json, _read_face, _read_shape
-from vcmkit.homology import _link_defect
+from vcmkit.homology import _Prepared, _link_defect, _pdim, _reisner, _sweep_vertices
 from vcmkit.linalg import gf2_rank
 from vcmkit.stanley_reisner import _by_degree
 from vcmkit.vres import BUDGET_EXCEEDED, CERTIFIED, DEFAULT_FIELD, EXHAUSTED, parse_polynomial
@@ -629,6 +629,17 @@ def reisner_verdict_cached(delta, characteristic):
     for sigma, d in failing_links_cached(delta, characteristic):
         return (False, (delta.shape.face_from_mask(sigma), d))
     return (True, None)
+
+
+def cm_verdicts_both(delta, field):
+    """The oracle of `cm_verdicts`: Reisner's walk and the pdim sweep both
+    run in full on one preparation, whatever the sweep gives, so a CM
+    verdict is computed by the walk, not taken from the theorem."""
+    if delta.is_void:
+        raise ValueError("Cohen-Macaulayness is undefined for the void complex")
+    bits = _sweep_vertices(delta)
+    prep = _Prepared(delta, field.characteristic)
+    return _reisner(prep), _pdim(prep, bits)
 
 
 def random_pure_masks(n, k, size, rng):

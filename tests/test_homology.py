@@ -42,6 +42,7 @@ from helpers import (
     antichains_nonvoid,
     boundary_rank_direct,
     canon_faces,
+    cm_verdicts_both,
     cone,
     cx,
     disconnected_pure_masks,
@@ -613,7 +614,9 @@ class TestCmVerdicts:
     @pytest.mark.parametrize("field", FIELDS)
     def test_cone_links_are_not_ranked(self, field, monkeypatch):
         # In one facet every face lies with a further vertex, so every link
-        # Reisner's test would rank is a cone: only the whole is ranked.
+        # Reisner's test would rank is a cone: `is_cm_reisner` ranks only
+        # the whole.  Every vertex subset is a face, so the sweep ranks
+        # nothing, and `cm_verdicts`, which then walks no link, ranks nothing.
         delta = SimplicialComplex(Shape((11, 0)), ((1 << 13) - 1,))
         calls = []
         original = homology._ranks_from_layers
@@ -623,8 +626,59 @@ class TestCmVerdicts:
             return original(layers, *args)
 
         monkeypatch.setattr(homology, "_ranks_from_layers", counting)
-        assert cm_verdicts(delta, field) == ((True, None), 0)
+        assert is_cm_reisner(delta, field) == (True, None)
         assert calls == [14]
+        calls.clear()
+        assert cm_verdicts(delta, field) == ((True, None), 0)
+        assert calls == []
+
+    @staticmethod
+    def differential_cases(rp2):
+        """`cases` (RP^2 and the cone over it among them), `non_cm_cases`,
+        and CI's kind of seeded shellable unions, which are CM."""
+        return TestCmVerdicts.cases(rp2) + TestCmVerdicts.non_cm_cases(rp2) + seeded_unions()
+
+    @pytest.mark.parametrize("field", [GF(2), GF(3), QQ])
+    def test_matches_both_tests_in_full(self, rp2, field):
+        verdicts = set()
+        for delta in self.differential_cases(rp2):
+            got = cm_verdicts(delta, field)
+            assert got == cm_verdicts_both(delta, field)
+            verdicts.add(got[0].is_cm)
+        assert verdicts == {False, True}
+
+    @pytest.mark.parametrize("field", [GF(2), GF(3), QQ])
+    def test_links_walked_only_for_a_witness(self, rp2, field, monkeypatch):
+        # A CM complex never enters Reisner's walk.  A non-CM one runs
+        # `_reisner` once, which enters `_failing_links` unless the link of
+        # the empty face, the whole complex, already fails.
+        cases = self.differential_cases(rp2)
+        wants = [cm_verdicts_both(delta, field)[0] for delta in cases]
+        walks, entered = [], []
+        reisner, failing_links = homology._reisner, homology._failing_links
+
+        def counting_reisner(prep):
+            walks.append(prep)
+            return reisner(prep)
+
+        def counting_links(*args):
+            entered.append(args)
+            yield from failing_links(*args)
+
+        monkeypatch.setattr(homology, "_reisner", counting_reisner)
+        monkeypatch.setattr(homology, "_failing_links", counting_links)
+        kinds = set()
+        for delta, want in zip(cases, wants):
+            walks.clear()
+            entered.clear()
+            assert cm_verdicts(delta, field)[0] == want
+            if want.is_cm:
+                assert not walks and not entered
+            else:
+                nonempty = bool(want.witness[0])
+                assert len(walks) == 1 and len(entered) == nonempty
+                kinds.add(nonempty)
+        assert kinds == {False, True}
 
     @pytest.mark.parametrize("characteristic", [0, 2, 3])
     def test_union_bad_faces_match_cached_walk(self, characteristic):
