@@ -40,7 +40,6 @@ from .shelling import (
     verify_shelling_masks,
 )
 from .stanley_reisner import (
-    DegreeBoundError,
     EmptyVarietyError,
     IrrelevantIdealB,
     SqfIdeal,

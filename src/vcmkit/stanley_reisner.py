@@ -7,35 +7,25 @@ coordinate ideals of the components, equivalently the ideal generated by all
 balanced monomials.  Saturating the Stanley-Reisner ideal by B is the same
 as dropping the facets that miss a component, which is how `saturate_by_B`
 computes it.  `saturation_oracle` is the independent ideal-theoretic version
-used to cross-check that shortcut: it iterates the colon ideal on exponent
-vectors packed into one int each, so divisibility, colons and lcms are a few
-bit operations per pair.  Four monomial-ideal facts keep the iteration
-cheap; the first three change no ideal the iteration builds, and the fourth
-skips a pass that would change none:
+used to cross-check that shortcut, on exponent vectors packed into one int
+each, so divisibility, colons and lcms are a few bit operations per pair.
+It needs no iteration, by two monomial-ideal identities (Miller-Sturmfels,
+Combinatorial Commutative Algebra, ch. 1): I : B^∞ is the intersection of
+the I : b^∞ over the generators b of B, and I : b^∞ sets every variable of
+supp(b) to 1.  Two more facts keep the one pass cheap without changing any
+ideal it builds:
 
-- (I : uv) = ((I : u) : v), so each b in B is split into single-variable
-  powers in variable order, and the colon by each prefix is computed once
-  per pass and shared by every b that starts with it; the balanced
-  generators of B share most of their prefixes.  Colon by one variable's
-  power changes only the generators that use the variable, so only those
-  are minimalised, and then each untouched generator is tested against them.
+- (I : (xy)^∞) = ((I : x^∞) : y^∞), so each support is walked in variable
+  order, and the colon by each prefix is computed once and shared by every
+  b whose support starts with it; the balanced generators of B share most
+  of their prefixes.  Colon by x^∞ changes only the generators that use x,
+  so only those are minimalised, and then each untouched generator is
+  tested against them.
 - Intersecting two ideals forms lcms only between generators that lie
   outside the other ideal: a generator that lies in the other ideal is a
   generator of the intersection on its own, its lcms are its multiples,
   and it is already minimal there (a proper divisor in the intersection
   would lie in its own ideal), so only the lcms are minimalised.
-- Minimal generators are unique, so every intermediate ideal that is
-  built, its sorted generator list and the degree checked against the bound
-  are the same as for a plain colon-by-colon iteration.
-- A squarefree I is saturated after one pass.  For squarefree g, g : b
-  keeps the variables of g outside the support of b, so I : b is squarefree
-  and I : b^2 = I : b.  With J = I : B, the intersection of the I : b_j,
-  J : b_i is the intersection of the I : b_j b_i; the term j = i is I : b_i
-  and every other term contains it, so J : B = I : B = J (Miller-Sturmfels,
-  Combinatorial Commutative Algebra, ch. 1).  Every ideal of the confirming
-  pass is squarefree, of degree at most the number of variables, so when
-  the bound admits that degree the pass can neither change the ideal nor
-  raise, and the first pass's quotient is returned.
 
 `ideal_of` and `complex_of` grow the face set layer by layer instead of
 walking all 2^n vertex subsets: a set whose facets are all faces is either
@@ -70,10 +60,6 @@ class EmptyVarietyError(ValueError):
 
 class UnitIdealError(ValueError):
     """The unit ideal has no Stanley-Reisner complex."""
-
-
-class DegreeBoundError(RuntimeError):
-    """Intermediate monomials exceeded the allowed degree during saturation."""
 
 
 @dataclass(frozen=True)
@@ -274,7 +260,7 @@ def codim_affine(delta: SimplicialComplex) -> int:
 # Exponent vectors are packed into one int each: one field of `width` bits
 # per variable, variable 0 in the most significant field, so int order is
 # tuple order.  Every value stays below the top bit of its field (colons
-# and lcms never exceed the largest input exponent), which leaves that bit
+# and lcms never exceed the largest exponent of I), which leaves that bit
 # free as a guard: (a | guard) - b subtracts all fields at once without
 # borrowing across them, and the surviving guard bits mark the fields where
 # a >= b.
@@ -362,22 +348,22 @@ def _minimalize(gens, packing: _Packing) -> list:
     return _by_degree(kept, packing)
 
 
-def _colon_power(gens, power: int, field: int, packing: _Packing) -> list:
-    """Minimal generators of (G) : power, for G minimal and one variable's power.
+def _colon_variable(gens, field: int, packing: _Packing) -> list:
+    """Minimal generators of (G) : x^∞, for G minimal and x the variable of `field`.
 
-    `field` masks that variable's field.  A generator g without the
-    variable is unchanged, and it divides no colon (g' : power): g would
-    then be a proper divisor of g'.  So the unchanged generators stay
-    minimal; only the colons are minimalised, and each unchanged generator
-    is dropped if a colon divides it.  With one value bit per field the
-    colons are g' minus the variable, so none divides another.
+    The colon zeroes x's field.  A generator g without x is unchanged, and
+    it divides no colon g' : x^∞: g would then be a proper divisor of g'.
+    So the unchanged generators stay minimal; only the colons are
+    minimalised, and each unchanged generator is dropped if a colon divides
+    it.  With one value bit per field the colons are g' minus x, so none
+    divides another.
     """
     guard = packing.guard
     moved, fixed = [], []
     for g in gens:
         e = g & field
         if e:
-            moved.append(g - (power if e >= power else e))
+            moved.append(g - e)
         else:
             fixed.append(g)
     if packing.width != 2:
@@ -450,29 +436,20 @@ def _intersect(a_gens, c_gens, packing: _Packing) -> list:
     return _by_degree(gens, packing)
 
 
-def saturation_oracle(ideal_gens: Sequence, b_gens: Sequence,
-                      degree_bound: int = None) -> list:
+def saturation_oracle(ideal_gens: Sequence, b_gens: Sequence) -> list:
     """Saturate one monomial ideal by another on raw exponent vectors.
 
-    Iterates the colon ideal (I : B) = intersection of (I : b) over the
-    generators b of B until it stabilises, independently of the facet
-    shortcut in `saturate_by_B`.  The exponent vectors are packed into ints
-    for the iteration, so divisibility, colons and lcms are a few bit
-    operations each, for any exponent size.  Each b is a product of
-    single-variable powers in variable order, and (I : uv) = ((I : u) : v),
-    so within one pass the colon by each prefix is kept in a dict, shared
-    by the generators of B that start with it and dropped when the pass
-    ends; it holds at most one ideal per distinct prefix.  Intersections
-    minimalise only the lcms they form (see `_intersect`).  Minimal
-    generators are unique, so each pass builds the same intermediate
-    ideals as a colon-by-colon iteration.  The iteration stops when a pass
-    returns its input, except that a squarefree ideal with `degree_bound` at
-    least the number of variables stops after one pass: its quotient is
-    then already saturated (module docstring).  Intermediate generators whose
-    total degree exceeds `degree_bound` (default: number of variables, which
-    is safe for squarefree inputs) abort with DegreeBoundError.  Returns the
-    minimal generators as tuples sorted by (degree, exponents); the unit
-    ideal comes back as [the zero vector], the zero ideal as [].
+    Computes I : B^∞ as the intersection of the I : b^∞ over the generators
+    b of B, in one pass, independently of the facet shortcut in
+    `saturate_by_B`.  I : b^∞ sets every variable of supp(b) to 1: it is one
+    colon by x^∞ per variable x of supp(b), in variable order, and the colon
+    by each prefix is kept in a dict and shared by the generators of B whose
+    supports start with it.  The exponent vectors are packed into ints, so
+    divisibility, colons and lcms are a few bit operations each, for any
+    exponent size.  Intersections minimalise only the lcms they form (see
+    `_intersect`).  Returns the minimal generators as tuples sorted by
+    (degree, exponents); the unit ideal comes back as [the zero vector], the
+    zero ideal as [].
     """
     ideal_gens = [tuple(map(int, g)) for g in ideal_gens]
     b_gens = [tuple(map(int, g)) for g in b_gens]
@@ -489,53 +466,24 @@ def saturation_oracle(ideal_gens: Sequence, b_gens: Sequence,
                 raise ValueError("exponent vectors have inconsistent lengths")
             if any(e < 0 for e in g):
                 raise ValueError(f"negative exponent in {g}")
-    if degree_bound is None:
-        degree_bound = nvars
     if not ideal_gens:
         return []
-    packing = _Packing.for_exponents(nvars, max(map(max, vectors)) if nvars else 0)
-
-    def check(gens):
-        worst = packing.degree(gens[-1]) if gens else 0
-        if worst > degree_bound:
-            raise DegreeBoundError(
-                f"intermediate generator of degree {worst} exceeds bound {degree_bound}")
-        return gens
-
-    # Each b as the chain of its prefixes: its single-variable powers
-    # accumulated in variable order, each with the power that extends it
-    # and the mask of that power's field.
+    # Colons only lower exponents and lcms take maxima, so I's largest
+    # exponent bounds every field.
+    packing = _Packing.for_exponents(nvars, max(map(max, ideal_gens)) if nvars else 0)
+    # memo maps each prefix of a support, as the mask of its fields, to the
+    # colon by it.
     field = (1 << packing.width - 1) - 1
-    chains = []
+    memo = {0: _minimalize([packing.pack(g) for g in ideal_gens], packing)}
+    quotient = None
     for b in b_gens:
-        prefix, chain = 0, []
+        prefix = 0
         for i, e in enumerate(b):
             if e:
-                shift = (nvars - 1 - i) * packing.width
-                prefix |= e << shift
-                chain.append((prefix, e << shift, field << shift))
-        chains.append(chain)
-
-    def colon(chain, memo):
-        # memo maps each prefix met in this pass to the colon by it.
-        prev = 0
-        for prefix, power, mask in chain:
-            if prefix not in memo:
-                memo[prefix] = _colon_power(memo[prev], power, mask, packing)
-            prev = prefix
-        return memo[prev]
-
-    current = check(_minimalize([packing.pack(g) for g in ideal_gens], packing))
-    # A squarefree I is saturated after one pass (module docstring), and
-    # the pass that would confirm it meets only squarefree generators, of
-    # degree at most nvars, so it can raise nothing either.
-    upper = ~packing.ones  # set in g iff some exponent of g is 2 or more
-    one_pass = degree_bound >= nvars and not any(g & upper for g in current)
-    while True:
-        memo = {0: current}
-        quotient = check(colon(chains[0], memo))
-        for chain in chains[1:]:
-            quotient = check(_intersect(quotient, colon(chain, memo), packing))
-        if one_pass or quotient == current:
-            return [packing.unpack(v) for v in quotient]
-        current = quotient
+                grown = prefix | field << (nvars - 1 - i) * packing.width
+                if grown not in memo:
+                    memo[grown] = _colon_variable(memo[prefix], grown ^ prefix, packing)
+                prefix = grown
+        colon = memo[prefix]
+        quotient = colon if quotient is None else _intersect(quotient, colon, packing)
+    return [packing.unpack(v) for v in quotient]

@@ -10,12 +10,12 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from operator import le
 from typing import NamedTuple, Sequence
 
 from vcmkit import (
     BalancedCertificate,
     BettiTable,
-    DegreeBoundError,
     EmptyVarietyError,
     FreeComplexPresentation,
     Polynomial,
@@ -803,22 +803,22 @@ def gallery_connected_pairwise(delta):
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _minimalize_tuples(gens):
     ordered = sorted(set(gens), key=lambda g: (sum(g), g))
     kept = []
     for g in ordered:
-        if not any(_divides(k, g) for k in kept):
+        if not any(map(_divides, kept, itertools.repeat(g))):
             kept.append(g)
     return kept
 
 
-def saturation_oracle_tuples(ideal_gens, b_gens, degree_bound=None):
+def saturation_oracle_tuples(ideal_gens, b_gens):
     """The colon-ideal saturation on plain exponent tuples: iterate
     (I : B) = intersection of (I : b) until it stabilises, with the
-    library's validation, DegreeBoundError messages and output order."""
+    library's validation and output order."""
     ideal_gens = [tuple(int(e) for e in g) for g in ideal_gens]
     b_gens = [tuple(int(e) for e in g) for g in b_gens]
     if not b_gens:
@@ -829,17 +829,8 @@ def saturation_oracle_tuples(ideal_gens, b_gens, degree_bound=None):
             raise ValueError("exponent vectors have inconsistent lengths")
         if any(e < 0 for e in g):
             raise ValueError(f"negative exponent in {g}")
-    if degree_bound is None:
-        degree_bound = nvars
     if not ideal_gens:
         return []
-
-    def check(gens):
-        worst = max((sum(g) for g in gens), default=0)
-        if worst > degree_bound:
-            raise DegreeBoundError(
-                f"intermediate generator of degree {worst} exceeds bound {degree_bound}")
-        return gens
 
     def colon(gens, b):
         return _minimalize_tuples(tuple(max(x - y, 0) for x, y in zip(g, b)) for g in gens)
@@ -848,11 +839,11 @@ def saturation_oracle_tuples(ideal_gens, b_gens, degree_bound=None):
         return _minimalize_tuples(
             tuple(max(x, y) for x, y in zip(a, b)) for a in a_gens for b in b_gens)
 
-    current = check(_minimalize_tuples(ideal_gens))
+    current = _minimalize_tuples(ideal_gens)
     while True:
-        quotient = check(colon(current, b_gens[0]))
+        quotient = colon(current, b_gens[0])
         for b in b_gens[1:]:
-            quotient = check(intersect(quotient, colon(current, b)))
+            quotient = intersect(quotient, colon(current, b))
         if quotient == current:
             return current
         current = quotient

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from vcmkit import (
-    DegreeBoundError,
     EmptyVarietyError,
     IrrelevantIdealB,
     Shape,
@@ -398,9 +397,37 @@ class TestSaturationOracle:
         with pytest.raises(ValueError):
             saturation_oracle([(-1, 0)], [(1, 0)])
 
-    def test_degree_bound(self):
-        with pytest.raises(DegreeBoundError):
-            saturation_oracle([(1, 1)], [(1, 0)], degree_bound=1)
+    def test_exponents_above_the_number_of_variables(self):
+        # Every degree saturates; nothing is refused for its size.
+        assert saturation_oracle([(3, 2)], [(1, 0)]) == [(0, 2)]
+        gens = [(9, 0, 4), (5, 7, 0), (0, 6, 8)]
+        b = [(2, 0, 0), (0, 0, 5)]
+        assert saturation_oracle(gens, b) == saturation_oracle_tuples(gens, b) == [
+            (0, 7, 0), (0, 6, 4), (9, 0, 4)]
+
+    def test_intersection_of_support_colons(self):
+        # I : B^∞ is the intersection of the I : b^∞, and I : b^∞ sets
+        # every variable of supp(b) to 1.
+        def minimal(gens):
+            kept = []
+            for g in sorted(set(gens), key=lambda g: (sum(g), g)):
+                if not any(all(x <= y for x, y in zip(k, g)) for k in kept):
+                    kept.append(g)
+            return kept
+
+        rng = random.Random(83)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            ideal = [_random_vector(rng, n) for _ in range(rng.randint(1, 4))]
+            b = [_random_vector(rng, n) for _ in range(rng.randint(1, 3))]
+            per_b = [minimal(tuple(0 if e else x for x, e in zip(g, v)) for g in ideal)
+                     for v in b]
+            for v, want in zip(b, per_b):
+                assert saturation_oracle(ideal, [v]) == want
+            whole = per_b[0]
+            for part in per_b[1:]:
+                whole = minimal(tuple(map(max, x, y)) for x in whole for y in part)
+            assert saturation_oracle(ideal, b) == whole == saturation_oracle_tuples(ideal, b)
 
     def test_matches_combinatorial_on_samples(self):
         rng = random.Random(71)
@@ -417,17 +444,17 @@ class TestSaturationOracle:
             assert sorted(got) == sorted(want)
 
 
-def _outcome(oracle, *args, **kwargs):
+def _outcome(oracle, *args):
     """The oracle's result, or the type and message of what it raised."""
     try:
-        return oracle(*args, **kwargs)
-    except (ValueError, DegreeBoundError) as exc:
+        return oracle(*args)
+    except ValueError as exc:
         return type(exc), str(exc)
 
 
-def _same_as_tuples(*args, **kwargs):
-    want = _outcome(saturation_oracle_tuples, *args, **kwargs)
-    assert _outcome(saturation_oracle, *args, **kwargs) == want
+def _same_as_tuples(*args):
+    want = _outcome(saturation_oracle_tuples, *args)
+    assert _outcome(saturation_oracle, *args) == want
     return want
 
 
@@ -447,11 +474,10 @@ class TestSaturationOracleAgainstTuples:
             b = [_random_vector(rng, n) for _ in range(rng.randint(1, 4))]
             if rng.random() < 0.1:
                 b.insert(rng.randint(0, len(b)), (0,) * n)
-            bound = rng.choice([None, 9 * n, 9 * n, rng.randint(0, 9 * n)])
-            want = _same_as_tuples(ideal, b, degree_bound=bound)
+            want = _same_as_tuples(ideal, b)
             outcomes.add(want[0] if isinstance(want, tuple) else len(want) > 1)
-        # Both errors-free results with several generators and bound errors occurred.
-        assert {True, DegreeBoundError} <= outcomes
+        # Every input saturates, to one generator or none as well as to several.
+        assert outcomes == {True, False}
 
     def test_zero_vector_in_b(self):
         rng = random.Random(73)
@@ -460,8 +486,7 @@ class TestSaturationOracleAgainstTuples:
             ideal = [_random_vector(rng, n) for _ in range(rng.randint(1, 4))]
             b = [_random_vector(rng, n) for _ in range(rng.randint(0, 3))] + [(0,) * n]
             rng.shuffle(b)
-            assert _same_as_tuples(ideal, b, degree_bound=9 * n) == saturation_oracle_tuples(
-                ideal, [(0,) * n], degree_bound=9 * n)
+            assert _same_as_tuples(ideal, b) == saturation_oracle_tuples(ideal, [(0,) * n])
 
     def test_unit_zero_and_empty_cases(self):
         for ideal, b in [
@@ -486,21 +511,6 @@ class TestSaturationOracleAgainstTuples:
             want = _same_as_tuples(ideal, b)
             assert want[0] is ValueError
 
-    def test_degree_bound_below_and_at_the_maximum(self):
-        rng = random.Random(79)
-        for _ in range(150):
-            n = rng.randint(1, 5)
-            ideal = [_random_vector(rng, n) for _ in range(rng.randint(1, 4))]
-            b = [_random_vector(rng, n) for _ in range(rng.randint(1, 3))]
-            top = next(d for d in range(9 * n + 1)
-                       if not isinstance(_outcome(saturation_oracle_tuples, ideal, b,
-                                                  degree_bound=d), tuple))
-            at = _same_as_tuples(ideal, b, degree_bound=top)
-            assert isinstance(at, list)
-            below = _same_as_tuples(ideal, b, degree_bound=top - 1)
-            assert below[0] is DegreeBoundError
-            assert below[1].endswith(f"exceeds bound {top - 1}")
-
     def test_all_five_vertex_complexes_on_2_1(self):
         shape = Shape((2, 1))
         n = shape.num_vertices
@@ -515,11 +525,15 @@ class TestSaturationOracleAgainstTuples:
             back = complex_of(ideal)
             assert back == d and set(back.facet_masks) == set(complex_of_table(ideal))
             gens = exponent_vectors(ideal)
-            assert saturation_oracle(gens, b) == saturation_oracle_tuples(gens, b)
+            saturated = saturation_oracle(gens, b)
+            assert saturated == saturation_oracle_tuples(gens, b)
+            # Squaring every exponent commutes with saturation.
+            doubled = [tuple(2 * e for e in g) for g in gens]
+            assert saturation_oracle(doubled, b) == [tuple(2 * e for e in g) for g in saturated]
 
     def test_product_structured_b(self):
         # Balanced grids share their prefixes in variable order, so most
-        # colons come from the per-pass memo, which hands out shared lists.
+        # colons come from the prefix memo, which hands out shared lists.
         rng = random.Random(20261019)
         outcomes = set()
         for entries in [(1, 1), (2, 1), (1, 1, 1), (2, 2)]:
@@ -536,13 +550,16 @@ class TestSaturationOracleAgainstTuples:
                 if rng.random() < 0.2:
                     b.append([0] * n)
                 rng.shuffle(b)
-                bound = rng.choice([None, 3 * n, rng.randint(0, 3 * n)])
                 ideal_before = [list(v) for v in ideal]
                 b_before = [list(v) for v in b]
-                want = _same_as_tuples(ideal, b, degree_bound=bound)
+                want = _same_as_tuples(ideal, b)
                 assert ideal == ideal_before and b == b_before
                 outcomes.add(want[0] if isinstance(want, tuple) else len(want) > 1)
-        assert {True, False, DegreeBoundError} <= outcomes
+                # Saturating by b depends on supp(b) alone, however large b's exponents.
+                for top in (1, 10**6):
+                    supports = [[top if e else 0 for e in v] for v in b]
+                    assert saturation_oracle(ideal, supports) == want
+        assert outcomes == {True, False}
 
 
 def _seeded_union(shape, rng):
@@ -558,8 +575,8 @@ def _b_vectors(shape):
 
 
 class TestOnePassOnSquarefreeInput:
-    """A squarefree ideal is B-saturated after one colon pass, so the
-    oracle stops there when the bound admits every squarefree degree."""
+    """The oracle saturates in one pass, with one intersection per
+    generator of B after the first, for squarefree and other input alike."""
 
     def count_intersections(self, monkeypatch):
         calls = []
@@ -577,7 +594,6 @@ class TestOnePassOnSquarefreeInput:
         calls = self.count_intersections(monkeypatch)
         for entries in [(2, 1), (1, 1, 1), (2, 2, 1)]:
             shape = Shape(entries)
-            n = shape.num_vertices
             b = _b_vectors(shape)
             per_pass = len(b) - 1
             for _ in range(4):
@@ -586,29 +602,25 @@ class TestOnePassOnSquarefreeInput:
                 once = saturation_oracle(gens, b)
                 assert len(calls) == per_pass
                 assert once == saturation_oracle_tuples(gens, b)
-                # Below nvars the bound is checked on a confirming pass too.
-                calls.clear()
-                assert _same_as_tuples(gens, b, degree_bound=n - 1) == once
-                assert len(calls) == 2 * per_pass
-                # One exponent 2 makes the ideal non-squarefree: the loop runs.
+                # One exponent 2 makes the ideal non-squarefree, still one pass.
                 squared = [tuple(2 * e for e in gens[0])] + gens[1:]
                 calls.clear()
                 _same_as_tuples(squared, b)
-                assert len(calls) >= 2 * per_pass and len(calls) % per_pass == 0
+                assert len(calls) == per_pass
 
     def test_frobenius_crosses_the_loop_and_the_single_pass(self):
         # Squaring every exponent commutes with saturation (Frobenius is
-        # flat); the doubled ideal takes the loop, the ideal the single pass.
+        # flat); the tuple oracle iterates on the doubled ideal.
         rng = random.Random(20261021)
         for entries in [(2, 1), (1, 1, 1), (2, 2, 1)]:
             shape = Shape(entries)
-            n = shape.num_vertices
             b = _b_vectors(shape)
             for _ in range(4):
                 gens = exponent_vectors(ideal_of(_seeded_union(shape, rng)))
                 doubled = [tuple(2 * e for e in g) for g in gens]
-                want = {tuple(2 * e for e in g) for g in saturation_oracle(gens, b)}
-                assert set(saturation_oracle(doubled, b, degree_bound=2 * n)) == want
+                want = [tuple(2 * e for e in g) for g in saturation_oracle(gens, b)]
+                assert saturation_oracle(doubled, b) == want
+                assert saturation_oracle_tuples(doubled, b) == want
 
     def test_squarefree_at_bounds_around_nvars(self):
         rng = random.Random(89)
@@ -616,13 +628,12 @@ class TestOnePassOnSquarefreeInput:
         for _ in range(300):
             n = rng.randint(1, 6)
             ideal = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(1, 5))]
-            # Any B: the single pass needs only I squarefree.
+            # Any B, with exponents up to 2.
             b = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
                  for _ in range(rng.randint(1, 4))]
-            for bound in (n - 1, n, n + 1):
-                want = _same_as_tuples(ideal, b, degree_bound=bound)
-                outcomes.add(want[0] if isinstance(want, tuple) else len(want) > 1)
-        assert {True, False, DegreeBoundError} <= outcomes
+            want = _same_as_tuples(ideal, b)
+            outcomes.add(want[0] if isinstance(want, tuple) else len(want) > 1)
+        assert outcomes == {True, False}
 
 
 class TestMinimalizeAgainstPairwise:
