@@ -9,7 +9,6 @@ from .complexes import (
     SimplicialComplex,
     Vertex,
     VertexLimitError,
-    is_relevant,
     union,
 )
 from .homology import (
@@ -41,7 +40,6 @@ from .shelling import (
 )
 from .stanley_reisner import (
     EmptyVarietyError,
-    IrrelevantIdealB,
     SqfIdeal,
     UnitIdealError,
     codim,
@@ -62,7 +60,6 @@ from .vres import (
     augmentation_search,
     certify_balanced,
     certify_vcm_via_union,
-    compose_check,
     compose_failures,
     enumerate_irrelevant_candidate_facets,
     paper_fixture,

@@ -168,14 +168,6 @@ class Shape:
                 for lo, n in zip(self._offsets, self.entries)]
 
     @cached_property
-    def component_masks(self) -> tuple:
-        masks = []
-        for i, n in enumerate(self.entries):
-            lo = self._offsets[i]
-            masks.append(((1 << (n + 1)) - 1) << lo)
-        return tuple(masks)
-
-    @cached_property
     def full_mask(self) -> int:
         return (1 << self.num_vertices) - 1
 
@@ -269,15 +261,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def is_relevant(face, shape: Shape) -> bool:
-    """True when the face touches every component of the shape.
-
-    Relevant faces are exactly those whose complementary coordinate ideal
-    does not contain the irrelevant ideal.
-    """
-    return shape.is_relevant_mask(shape.mask_of(face))
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Immutable simplicial complex given by its facets.
@@ -356,8 +339,9 @@ class SimplicialComplex:
     @property
     def vertex_holders(self) -> dict:
         """Vertex bit -> bitset of the facets holding it, bit i standing for
-        the i-th facet of `facet_set`'s iteration order.  A face lies in the
-        facets of the AND of its vertices' bitsets."""
+        the i-th facet of `facet_set`'s iteration order; the keys are the
+        vertices in use.  A face lies in the facets of the AND of its
+        vertices' bitsets."""
         return self._vertex_table[0]
 
     @cached_property
@@ -408,23 +392,8 @@ class SimplicialComplex:
         sum 2^|F| over its facets F and 2^m on its m vertices in use."""
         return self._face_layers
 
-    @cached_property
-    def _face_masks(self) -> tuple:
-        return tuple(itertools.chain.from_iterable(self._face_layers))
-
-    def face_masks(self) -> tuple:
-        """All face masks, by (cardinality, vertex order): the layers of
-        `face_layers` in turn."""
-        return self._face_masks
-
-    def faces(self) -> tuple:
-        return tuple(self.shape.face_from_mask(m) for m in self._face_masks)
-
     def has_face_mask(self, mask: int) -> bool:
         return any(mask & ~f == 0 for f in self.facet_set)
-
-    def is_face(self, face) -> bool:
-        return self.has_face_mask(self.shape.mask_of(face))
 
     def is_pure(self) -> bool:
         if self.is_void:
@@ -437,13 +406,6 @@ class SimplicialComplex:
     def is_balanced(self) -> bool:
         """Every facet has exactly one vertex in every component."""
         return all(map(self.shape.is_balanced_mask, self.facet_set))
-
-    def relevant_facet_masks(self) -> tuple:
-        return tuple(f for f in self.facet_masks if self.shape.is_relevant_mask(f))
-
-    def remove_irrelevant_facets(self) -> "SimplicialComplex":
-        """Drop facets that miss some component (combinatorial B-saturation)."""
-        return SimplicialComplex(self.shape, self.relevant_facet_masks())
 
     def gallery_connected(self) -> bool:
         """Facet-ridge connectivity of a pure complex.

@@ -129,10 +129,7 @@ def parse_complex_document(text: str):
         labelled = shape.mask_of(labels.values())
         if labelled.bit_count() != len(labels):
             raise DocumentError("labels: two labels name the same vertex")
-        used = 0
-        for m in delta.facet_set:
-            used |= m
-        if labelled != used:
+        if labelled != sum(delta.vertex_holders):
             raise DocumentError("labels: labelled vertices differ from the vertices in use")
     return delta, labels
 

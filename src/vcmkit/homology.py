@@ -90,7 +90,7 @@ def _packed_boundaries(layers: list) -> dict:
     the signed column up to sign for `_signed_rank`.
 
     The signs need one condition on the layer order: the row of f minus v
-    must lie lower as v rises.  The vertex order of `face_masks()` and the
+    must lie lower as v rises.  The vertex order of `face_layers()` and the
     int order of `_canon` both meet it, and so do sublists of such layers.
     Then the bits of f's column, read from the bottom, name f's vertices
     from the top, so alternating signs along them give the signed column
@@ -295,9 +295,7 @@ def _hochster_sweep(delta: SimplicialComplex, characteristic: int):
     """
     layers = delta.face_layers()
     packed = _packed_boundaries(layers)
-    used = 0
-    for f in delta.facet_set:
-        used |= f
+    used = sum(delta.vertex_holders)
     unused = delta.shape.full_mask & ~used
     memo = {f: () for layer in layers[1:] for f in layer}
     for sigma in range(1 << delta.shape.num_vertices):
@@ -352,10 +350,7 @@ class _Prepared:
 def _sweep_vertices(delta: SimplicialComplex) -> list:
     """The vertices in use, as single-bit masks, once the pdim sweep's
     subset count is checked against the bound."""
-    used = 0
-    for f in delta.facet_set:
-        used |= f
-    bits = [1 << b for b in range(used.bit_length()) if used >> b & 1]
+    bits = sorted(delta.vertex_holders)
     count = sum(comb(len(bits), j) for j in range(delta.dim))
     if count > 1 << MAX_SWEEP_VERTICES:
         raise VertexLimitError(

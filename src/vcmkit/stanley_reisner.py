@@ -42,7 +42,6 @@ complements of the maximal complements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 from .complexes import (
@@ -99,21 +98,6 @@ class SqfIdeal:
         return tuple(self.shape.face_from_mask(m) for m in self.generator_masks)
 
 
-@dataclass(frozen=True)
-class IrrelevantIdealB:
-    """The irrelevant ideal of the product, generated by balanced monomials."""
-
-    shape: Shape
-
-    @cached_property
-    def generator_masks(self) -> tuple:
-        return self.shape.balanced_masks()
-
-    @property
-    def generators(self) -> tuple:
-        return tuple(self.shape.face_from_mask(m) for m in self.generator_masks)
-
-
 def _grow_faces(full: int, nonfaces) -> Iterator[tuple]:
     """Walk the faces of a complex on the vertices `full`, layer by size.
 
@@ -161,15 +145,10 @@ def ideal_of(delta: SimplicialComplex) -> SqfIdeal:
     if delta.is_void:
         return SqfIdeal(shape, (), is_unit=True)
     _check_vertex_bound(shape)
-    # F | w is a face iff some facet holds F and w: one bitset of facet
-    # positions per vertex, ANDed over F, tells without listing the faces.
-    holders = {}
-    for i, f in enumerate(delta.facet_set):
-        rest = f
-        while rest:
-            u = rest & -rest
-            rest ^= u
-            holders[u] = holders.get(u, 0) | 1 << i
+    # F | w is a face iff some facet holds F and w: the complex's bitset of
+    # facet positions per vertex, ANDed over F, tells without listing the
+    # faces.
+    holders = delta.vertex_holders
 
     def nonfaces(face, cand):
         common = (1 << len(delta.facet_set)) - 1
@@ -228,7 +207,8 @@ def saturate_by_B(delta: SimplicialComplex) -> SimplicialComplex:
     A coordinate prime contains B exactly when its facet misses a component,
     so saturation removes the irrelevant facets and nothing else.
     """
-    return delta.remove_irrelevant_facets()
+    shape = delta.shape
+    return SimplicialComplex(shape, frozenset(filter(shape.is_relevant_mask, delta.facet_set)))
 
 
 def is_saturated(delta: SimplicialComplex) -> bool:

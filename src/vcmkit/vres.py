@@ -246,11 +246,6 @@ def compose_failures(pres: FreeComplexPresentation) -> tuple:
     return tuple(bad)
 
 
-def compose_check(pres: FreeComplexPresentation) -> bool:
-    """True when every consecutive pair of matrices composes to zero."""
-    return not compose_failures(pres)
-
-
 # -- worked fixtures ------------------------------------------------------
 
 

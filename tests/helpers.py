@@ -449,7 +449,7 @@ def balanced_vcm_certificate_oracle(delta):
     prefix_shape = Shape(delta_p.shape.entries[:q])
     apex_mask = 0
     for c in range(q + 1, shape.r + 1):
-        apex_mask |= delta_p.shape.component_masks[c - 1]
+        apex_mask |= sum(delta_p.shape.component_bits()[c - 1])
     # Leading components share bit positions with the prefix shape, so the
     # stripped masks transfer verbatim.
     prefix = SimplicialComplex(prefix_shape,
@@ -594,9 +594,18 @@ def canon_faces(face_masks):
     return tuple(sorted(sorted(face_masks), key=int.bit_count))
 
 
+def face_masks(delta):
+    """Every face mask of delta, by (size, vertex order): its face layers in turn."""
+    return tuple(itertools.chain.from_iterable(delta.face_layers()))
+
+
+def is_relevant(face, shape):
+    return shape.is_relevant_mask(shape.mask_of(face))
+
+
 def face_masks_sorted(delta):
     """Every face mask, from the subsets of each facet, sorted by (size,
-    vertex order): the listing `face_masks` grows in layers instead."""
+    vertex order): `face_layers` grows them in layers instead."""
     seen = set()
     for f in delta.facet_set:
         sub = f
@@ -680,7 +689,7 @@ def ranks_from_faces_oracle(faces, characteristic):
 def hochster_betti_oracle(delta, characteristic):
     """Betti table by the plain Hochster sweep: for every vertex subset,
     filter all faces, sort them canonically and rank every boundary."""
-    faces = delta.face_masks()
+    faces = face_masks(delta)
     shape = delta.shape
     entries = {}
     for sigma in range(1 << shape.num_vertices):
@@ -777,9 +786,9 @@ def ideal_from_faces(shape, generators):
     return SqfIdeal(shape, tuple(shape.mask_of(g) for g in generators))
 
 
-def irrelevant_as_ideal(b):
+def irrelevant_as_ideal(shape):
     """The irrelevant ideal B as a squarefree monomial ideal."""
-    return SqfIdeal(b.shape, b.generator_masks)
+    return SqfIdeal(shape, shape.balanced_masks())
 
 
 def gallery_connected_pairwise(delta):

@@ -10,7 +10,7 @@ from vcmkit import (
     SimplicialComplex,
     Vertex,
     irrelevant_complex,
-    is_relevant,
+    saturate_by_B,
     union,
 )
 from vcmkit import complexes
@@ -22,9 +22,11 @@ from helpers import (
     bits_key_tuple,
     cone,
     cx,
+    face_masks,
     face_masks_sorted,
     faces_bruteforce,
     gallery_connected_pairwise,
+    is_relevant,
     link,
     link_bruteforce,
     mask_of_bits,
@@ -90,7 +92,7 @@ class TestShape:
         for entries in [(0,), (2,), (1, 1), (2, 0, 1), (0, 0, 0), (3, 1, 2), (0, 2, 0, 1)]:
             s = Shape(entries)
             for m in range(1 << s.num_vertices):
-                hits = [(m & cm).bit_count() for cm in s.component_masks]
+                hits = [(m & sum(bits)).bit_count() for bits in s.component_bits()]
                 assert s.is_relevant_mask(m) == all(hits), (entries, m)
                 assert s.is_balanced_mask(m) == all(h == 1 for h in hits), (entries, m)
 
@@ -104,14 +106,6 @@ class TestShape:
         with pytest.raises(ValueError, match="vertices exceed the max_shape_vertices"):
             Shape((10 ** 30, 0))
         assert Shape((n - 2, 0)).num_vertices == n
-
-    def test_component_masks_partition(self):
-        s = Shape((2, 0, 1))
-        acc = 0
-        for m in s.component_masks:
-            assert acc & m == 0
-            acc |= m
-        assert acc == s.full_mask
 
     def test_balanced_masks(self):
         assert len(Shape((1, 1)).balanced_masks()) == 4
@@ -196,7 +190,7 @@ class TestConstruction:
         void = SimplicialComplex.from_facets(Shape((1,)), [])
         assert void.is_void
         assert void.dim is None
-        assert void.face_masks() == ()
+        assert void.face_layers() == []
         irr = cx((1,), [])
         assert not irr.is_void
         assert irr.dim == -1
@@ -269,7 +263,7 @@ class TestQueries:
         for entries in [(2, 1), (1, 1, 1), (4,)]:
             for _ in range(10):
                 d = random_complex(Shape(entries), rng)
-                got = set(d.faces())
+                got = {d.shape.face_from_mask(m) for m in face_masks(d)}
                 assert got == faces_bruteforce(d)
 
     def test_face_masks_against_sorted_subsets(self):
@@ -283,7 +277,6 @@ class TestQueries:
         cases.append(SimplicialComplex(Shape((299,)), tuple(3 << i for i in range(299))))
         for d in cases:
             want = face_masks_sorted(d)
-            assert d.face_masks() == want
             assert [m for layer in d.face_layers() for m in layer] == list(want)
             assert all(len({m.bit_count() for m in layer}) == 1 for layer in d.face_layers())
         assert cases[0].face_layers() == [] and cases[1].face_layers() == [[0]]
@@ -294,7 +287,7 @@ class TestQueries:
         whole = SimplicialComplex(Shape((29, 0)), ((1 << 31) - 1,))
         message = f"may hold 2147483648 faces, more than the max_faces={MAX_FACES} face bound"
         with pytest.raises(FaceLimitError, match=message):
-            whole.face_masks()
+            whole.face_layers()
         # The bound is the smaller of sum 2^|F| and 2^(vertices in use): the
         # boundary of the 7-vertex simplex sums to 7 * 2^6 = 448 but has at
         # most 2^7 faces.
@@ -304,13 +297,13 @@ class TestQueries:
         with pytest.raises(FaceLimitError, match="may hold 128 faces"):
             boundary.face_layers()
         monkeypatch.setattr(complexes, "MAX_FACES", 128)
-        assert len(boundary.face_masks()) == 127
+        assert sum(map(len, boundary.face_layers())) == 127
 
     def test_is_face(self, fig1):
         d = fig1.complex
-        assert d.is_face([V(2, 0), V(2, 1)])
-        assert d.is_face([])
-        assert not d.is_face([V(1, 0), V(1, 1)])
+        assert d.has_face_mask(d.shape.mask_of([V(2, 0), V(2, 1)]))
+        assert d.has_face_mask(d.shape.mask_of([]))
+        assert not d.has_face_mask(d.shape.mask_of([V(1, 0), V(1, 1)]))
 
 
 class TestLink:
@@ -334,7 +327,7 @@ class TestLink:
             d = random_complex(Shape((2, 2)), rng)
             if d.is_void:
                 continue
-            faces = sorted(d.face_masks())
+            faces = sorted(face_masks(d))
             sigma = d.shape.face_from_mask(rng.choice(faces))
             assert set(link(d, sigma).facets) == link_bruteforce(d, sigma)
 
@@ -408,15 +401,15 @@ class TestComponentPredicates:
         assert SimplicialComplex.from_facets(Shape((1, 1)), []).is_balanced()
 
     def test_remove_irrelevant_facets(self, c34):
-        assert c34.complex.remove_irrelevant_facets() == c34.complex
+        assert saturate_by_B(c34.complex) == c34.complex
         mixed = cx((1, 1), [(1, 0), (2, 0)], [(1, 1)])
-        cleaned = mixed.remove_irrelevant_facets()
+        cleaned = saturate_by_B(mixed)
         assert cleaned.facets == (frozenset({V(1, 0), V(2, 0)}),)
-        assert cleaned.remove_irrelevant_facets() == cleaned
+        assert saturate_by_B(cleaned) == cleaned
 
     def test_remove_irrelevant_all(self):
         d = cx((1, 1), [(1, 0)], [(1, 1)])
-        assert d.remove_irrelevant_facets().is_void
+        assert saturate_by_B(d).is_void
 
 
 class TestGallery:

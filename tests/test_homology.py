@@ -47,6 +47,7 @@ from helpers import (
     cx,
     disconnected_pure_masks,
     euler_characteristic_reduced,
+    face_masks,
     face_masks_sorted,
     faces_bruteforce,
     failing_links_cached,
@@ -109,7 +110,7 @@ def table_rows(table):
 def boundary(delta, d):
     """Signed boundary matrix from the d-faces to the (d-1)-faces of delta,
     rows and columns in face_masks order, with its column count."""
-    faces = delta.face_masks()
+    faces = face_masks(delta)
     cols = [m for m in faces if m.bit_count() == d + 1]
     rows = [m for m in faces if m.bit_count() == d]
     return _signed_boundary(cols, rows), len(cols)
@@ -133,7 +134,7 @@ class TestBoundaryMatrix:
     def test_range_validation(self):
         # The rows span the map's range: a row list missing a facet of some
         # column face is refused, not turned into a matrix with a lost entry.
-        faces = hollow_triangle().face_masks()
+        faces = face_masks(hollow_triangle())
         edges = [m for m in faces if m.bit_count() == 2]
         vertices = [m for m in faces if m.bit_count() == 1]
         for rows in (vertices[:-1], vertices[1:], []):
@@ -171,7 +172,7 @@ class TestSignedColumns:
     """Ranks of the signed columns read off `_packed_boundaries` against the
     dense signed matrix, on every boundary of seeded complexes, of their
     links and of their sweep restrictions, with faces layered in vertex
-    order (as `face_masks()` lists them) and in int order (as `_canon`).
+    order (as `face_layers()` lists them) and in int order (as `_canon`).
     The GF(3) bitplanes of `_planes` are the dense signed columns up to
     sign, and `gf3_rank` ranks them as the dense oracle does."""
 
@@ -210,7 +211,7 @@ class TestSignedColumns:
         for delta in cases:
             if delta.is_void:
                 continue
-            faces = delta.face_masks()
+            faces = face_masks(delta)
             assert _layers(faces) == self.layer_orders(delta.shape, faces)[0]
             for layers in self.layer_orders(delta.shape, faces):
                 packed = _packed_boundaries(layers)
@@ -353,7 +354,7 @@ class TestSweepAgainstOracle:
 
     def test_all_five_vertex_complexes_over_q(self, five_vertex):
         for delta in five_vertex:
-            assert delta.face_masks() == face_masks_sorted(delta)
+            assert face_masks(delta) == face_masks_sorted(delta)
             table = hochster_betti(delta, QQ)
             assert table == hochster_betti_oracle(delta, 0)
             assert projective_dimension(delta, QQ) == max_index(table)
@@ -383,7 +384,7 @@ class TestSweepAgainstOracle:
         for delta in cases:
             if delta.is_void:
                 continue
-            layers = _layers(_canon(delta.face_masks()))
+            layers = _layers(_canon(face_masks(delta)))
             packed = _packed_boundaries(layers)
             top = len(layers) - 1
             branks = [0] * (top + 2)
@@ -559,7 +560,7 @@ class TestCmVerdicts:
         # RP^2 on 9 vertices: the empty face's link and the restriction to
         # the six vertices in use are both the whole complex.
         delta = SimplicialComplex(Shape((8,)), rp2.facet_masks)
-        whole = _layers(delta.face_masks())
+        whole = _layers(face_masks(delta))
         calls = []
         original = homology._ranks_from_layers
 
@@ -709,9 +710,9 @@ class TestLinkDefect:
 
     def expected(self, delta, sigma, characteristic):
         link = SimplicialComplex.from_facets(delta.shape, link_bruteforce(delta, sigma))
-        ranks = ranks_from_faces_oracle(canon_faces(link.face_masks()), characteristic)
+        ranks = ranks_from_faces_oracle(canon_faces(face_masks(link)), characteristic)
         top = ranks[-1][0]
-        return next((d for d, h in ranks if d < top and h), None), link.face_masks()
+        return next((d for d, h in ranks if d < top and h), None), face_masks(link)
 
     def cases(self, rp2, characteristic):
         """The seeded complexes, with the generator that drew them."""
@@ -721,10 +722,10 @@ class TestLinkDefect:
 
     def failing(self, delta, characteristic):
         """{mask: lowest homology below the top} of the faces whose links
-        fail, in `face_masks()` order."""
+        fail, in `face_layers()` order."""
         shape = delta.shape
         lows = {m: self.expected(delta, shape.face_from_mask(m), characteristic)[0]
-                for m in delta.face_masks()}
+                for m in face_masks(delta)}
         return {m: d for m, d in lows.items() if d is not None}
 
     @pytest.mark.parametrize("characteristic", [0, 2, 3])
@@ -767,7 +768,7 @@ class TestLinkDefect:
         assert nonempty
 
     def test_rp2_fails_only_over_gf2(self, rp2):
-        faces = rp2.face_masks()
+        faces = face_masks(rp2)
         assert _link_defect(faces, 2) == 1
         assert _link_defect(faces, 3) is None and _link_defect(faces, 0) is None
 

@@ -11,7 +11,6 @@ from vcmkit import (
     balanced_vcm_certificate,
     irrelevant_complex,
     irrelevant_shelling_order,
-    is_relevant,
     union,
     verify_shelling,
     verify_shelling_masks,
@@ -29,6 +28,7 @@ from helpers import (
     face_from_key,
     facet_key,
     find_shelling,
+    is_relevant,
     outcome,
     random_balanced,
     random_certificate_cases,

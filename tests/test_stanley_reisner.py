@@ -4,7 +4,6 @@ import pytest
 
 from vcmkit import (
     EmptyVarietyError,
-    IrrelevantIdealB,
     Shape,
     SimplicialComplex,
     SqfIdeal,
@@ -187,8 +186,8 @@ class TestAgainstSubsetWalks:
         for entries in [(2, 2), (1, 2, 1), (3, 0)]:
             shape = Shape(entries)
             unused = 0
-            for cm in shape.component_masks:
-                unused |= 1 << (cm.bit_length() - 1)
+            for bits in shape.component_bits():
+                unused |= bits[-1]
             for _ in range(30):
                 d = random_complex(shape, rng)
                 d = SimplicialComplex(shape, tuple(f & ~unused for f in d.facet_masks))
@@ -294,8 +293,8 @@ class TestPrimeComponents:
 
 class TestIrrelevantIdeal:
     def test_generators(self):
-        b = IrrelevantIdealB(Shape((1, 1)))
-        assert set(b.generators) == {
+        s = Shape((1, 1))
+        assert {s.face_from_mask(m) for m in s.balanced_masks()} == {
             frozenset({V(1, 0), V(2, 0)}),
             frozenset({V(1, 0), V(2, 1)}),
             frozenset({V(1, 1), V(2, 0)}),
@@ -303,7 +302,7 @@ class TestIrrelevantIdeal:
         }
 
     def test_as_ideal(self):
-        ideal = irrelevant_as_ideal(IrrelevantIdealB(Shape((0, 0))))
+        ideal = irrelevant_as_ideal(Shape((0, 0)))
         assert ideal.generator_masks == (0b11,)
 
 
@@ -322,6 +321,17 @@ class TestSaturation:
         d = cx((1, 1), [(1, 0)], [(2, 1)])
         assert saturate_by_B(d).is_void
         assert not is_saturated(d)
+
+    def test_sorts_nothing(self, monkeypatch):
+        # Saturation filters the facet set: no facet is put in canonical order.
+        def refuse(self, mask):
+            raise AssertionError("saturate_by_B sorted facets")
+
+        shape = Shape((1, 2))
+        relevant = (0b01001, 0b10010, 0b00110)
+        d = SimplicialComplex(shape, relevant + (0b00011, 0b11000))
+        monkeypatch.setattr(Shape, "bits_key", refuse)
+        assert saturate_by_B(d) == SimplicialComplex(shape, relevant)
 
     def test_idempotent(self):
         rng = random.Random(59)
@@ -433,8 +443,7 @@ class TestSaturationOracle:
         rng = random.Random(71)
         shape = Shape((2, 1))
         n = shape.num_vertices
-        b = IrrelevantIdealB(shape)
-        b_vecs = [tuple(m >> i & 1 for i in range(n)) for m in b.generator_masks]
+        b_vecs = [tuple(m >> i & 1 for i in range(n)) for m in shape.balanced_masks()]
         for _ in range(20):
             d = random_complex(shape, rng)
             if d.is_void:
@@ -514,7 +523,7 @@ class TestSaturationOracleAgainstTuples:
     def test_all_five_vertex_complexes_on_2_1(self):
         shape = Shape((2, 1))
         n = shape.num_vertices
-        b = [tuple(m >> i & 1 for i in range(n)) for m in IrrelevantIdealB(shape).generator_masks]
+        b = [tuple(m >> i & 1 for i in range(n)) for m in shape.balanced_masks()]
         cases = [SimplicialComplex(shape, masks) for masks in antichains_nonvoid(5)]
         cases.append(SimplicialComplex(shape, (0,)))
         assert len(cases) == 7580
@@ -571,7 +580,7 @@ def _seeded_union(shape, rng):
 
 def _b_vectors(shape):
     n = shape.num_vertices
-    return [tuple(m >> i & 1 for i in range(n)) for m in IrrelevantIdealB(shape).generator_masks]
+    return [tuple(m >> i & 1 for i in range(n)) for m in shape.balanced_masks()]
 
 
 class TestOnePassOnSquarefreeInput:
