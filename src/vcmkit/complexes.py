@@ -47,40 +47,34 @@ class InvalidVertexError(ValueError):
 
 
 class VertexLimitError(ValueError):
-    """A step whose cost can reach 2^n on n vertices was refused before it
-    started: the shape has more than MAX_SWEEP_VERTICES vertices, or a pruned
-    sweep would visit more than 2**MAX_SWEEP_VERTICES vertex subsets."""
+    """A Hochster subset sweep was refused before it started: the full sweep
+    of `hochster_betti` on a shape with more than MAX_SWEEP_VERTICES
+    vertices, or a pruned sweep that would visit more than
+    2**MAX_SWEEP_VERTICES vertex subsets."""
 
 
-# Largest vertex count for a step whose cost can reach 2^n: the full Hochster
-# sweep walks all vertex subsets, and the face sets that ideal_of and
-# complex_of grow may hold up to 2^n faces.  projective_dimension's pruned
-# sweep caps the subsets it visits at 2**MAX_SWEEP_VERTICES instead.
+# Largest vertex count for the full Hochster sweep, which walks all 2^n
+# vertex subsets.  projective_dimension's pruned sweep caps the subsets it
+# visits at 2**MAX_SWEEP_VERTICES instead.
 MAX_SWEEP_VERTICES = 20
 
 
 class FaceLimitError(ValueError):
-    """Listing a complex's faces was refused before it started: they may
-    number more than MAX_FACES (see `SimplicialComplex.face_layers`)."""
+    """Listing a complex's faces was refused: `SimplicialComplex.face_layers`
+    refuses before it starts when they may number more than MAX_FACES, and
+    `complex_of`, which grows the faces of an ideal's complex, refuses once
+    more than MAX_FACES have grown."""
 
 
-# Largest face count a complex's face walk may reach, read as the smaller of
-# sum 2^|F| over the facets F and 2^m on the m vertices in use.
+# Largest face count a face walk may reach: face_layers reads a complex's
+# count as the smaller of sum 2^|F| over the facets F and 2^m on the m
+# vertices in use, and complex_of counts the faces it has grown.
 MAX_FACES = 1 << MAX_SWEEP_VERTICES
 
 
 # Largest vertex count of a shape: `info` on one small facet at the bound,
 # on shape (N - 2, 0) or on N zero entries, peaks below 100 MB.
 MAX_SHAPE_VERTICES = 1 << 20
-
-
-def _check_vertex_bound(shape: Shape) -> None:
-    """Refuse a step whose cost can reach 2^n (a full subset sweep, or a face
-    set that may hold up to 2^n faces) when n > MAX_SWEEP_VERTICES."""
-    n = shape.num_vertices
-    if n > MAX_SWEEP_VERTICES:
-        raise VertexLimitError(
-            f"{n} vertices exceed the max_vertices={MAX_SWEEP_VERTICES} subset sweep bound")
 
 
 def format_face(face: Iterable[Vertex]) -> str:

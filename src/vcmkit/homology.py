@@ -62,8 +62,7 @@ from functools import cached_property, lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .complexes import MAX_SWEEP_VERTICES, SimplicialComplex, VertexLimitError
-from .complexes import _check_vertex_bound, _popcount
+from .complexes import MAX_SWEEP_VERTICES, SimplicialComplex, VertexLimitError, _popcount
 from .linalg import CoefficientField, gf2_rank, gf3_rank, sparse_rank
 from .stanley_reisner import codim_affine
 
@@ -319,10 +318,13 @@ def hochster_betti(delta: SimplicialComplex, field: CoefficientField) -> BettiTa
     to sigma in dimension |sigma| - i - 1; the sweep walks all vertex
     subsets, so it refuses shapes with more than `MAX_SWEEP_VERTICES` vertices.
     """
-    _check_vertex_bound(delta.shape)
+    shape = delta.shape
+    n = shape.num_vertices
+    if n > MAX_SWEEP_VERTICES:
+        raise VertexLimitError(
+            f"{n} vertices exceed the max_vertices={MAX_SWEEP_VERTICES} subset sweep bound")
     if delta.is_void:
         return BettiTable({})
-    shape = delta.shape
     return BettiTable({
         (i, shape.face_from_mask(sigma)): h
         for i, sigma, h in _hochster_sweep(delta, field.characteristic)

@@ -27,27 +27,28 @@ ideal it builds:
   and it is already minimal there (a proper divisor in the intersection
   would lie in its own ideal), so only the lcms are minimalised.
 
-`ideal_of` and `complex_of` grow the face set layer by layer instead of
-walking all 2^n vertex subsets: a set whose facets are all faces is either
-a face or a minimal nonface, so both directions cost a few bit operations
-per vertex of each face, and nothing for the subsets that are neither.
-`ideal_of` tells faces from nonfaces by the facets that hold them, one
-bitset of facet positions per vertex; `complex_of` tells them apart by the
-generators and keeps the faces with no extension as facets.  Both still refuse shapes with more
-than MAX_SWEEP_VERTICES vertices: the zero ideal has 2^n faces, and no face
-budget bounds the growth yet.  SqfIdeal minimises its generators as the
+`ideal_of` reads the complex's faces from `face_layers` and `complex_of`
+grows the faces of the ideal's complex layer by layer, so both cost what
+the faces do rather than 2^n.  `ideal_of` refuses a complex that may have
+more than MAX_FACES faces before listing any, and `complex_of` refuses
+once more than MAX_FACES have grown (FaceLimitError).  A set whose facets
+are all faces is either a face or a minimal nonface: `ideal_of` finds the
+minimal nonfaces from the vertices that extend each face, and
+`complex_of` tells faces from generators and keeps the faces with no
+extension as facets.  SqfIdeal minimises its generators as the
 complements of the maximal complements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .complexes import (
+    MAX_FACES,
+    FaceLimitError,
     Shape,
     SimplicialComplex,
-    _check_vertex_bound,
     _maximal_masks,
     _popcount,
 )
@@ -98,95 +99,59 @@ class SqfIdeal:
         return tuple(self.shape.face_from_mask(m) for m in self.generator_masks)
 
 
-def _grow_faces(full: int, nonfaces) -> Iterator[tuple]:
-    """Walk the faces of a complex on the vertices `full`, layer by size.
-
-    Each face F comes with `cand`, the vertices w outside F for which every
-    facet of F | w is a face, and `ext`, those for which F | w is itself a
-    face.  F | w with w in cand - ext is then a minimal nonface, and
-    `nonfaces(F, cand)` must return exactly those w.  cand is the AND of ext
-    over the facets of F, so a face costs |F| lookups in the layer below it;
-    growing F only by vertices above its top one reaches every face once.
-    Yields (F, cand, ext) for every face, the empty face first.
-    """
-    ext = full & ~nonfaces(0, full)
-    yield 0, full, ext
-    layer = {0: ext}
-    while layer:
-        grown_layer = {}
-        for face, ext in layer.items():
-            above = ext & -(1 << face.bit_length())
-            while above:
-                w = above & -above
-                above ^= w
-                grown = face | w
-                cand = full & ~grown
-                rest = grown
-                while rest:
-                    u = rest & -rest
-                    rest ^= u
-                    cand &= layer[grown ^ u]
-                grown_ext = cand & ~nonfaces(grown, cand)
-                grown_layer[grown] = grown_ext
-                yield grown, cand, grown_ext
-        layer = grown_layer
-
-
 def ideal_of(delta: SimplicialComplex) -> SqfIdeal:
     """Stanley-Reisner ideal: generated by the minimal nonfaces of the complex.
 
-    A minimal nonface N is a nonface whose facets are all faces, so growing
-    the faces layer by layer meets it once, as F | w for the face F that is
-    N without its top vertex w.  The cost is set by the number of faces.
-    Still refuses shapes with more than MAX_SWEEP_VERTICES vertices
-    (VertexLimitError).
+    A minimal nonface N is F | w, for the face F that is N without its top
+    vertex w, that is not a face although each of its facets is.  One pass
+    over the faces gives ext[F], the vertices w for which F | w is a face,
+    so the candidates w for F are those above its top vertex outside
+    ext[F] and inside ext[F - u] for every u in F.  The faces come from
+    `face_layers`, so a complex that may have more than MAX_FACES faces is
+    refused with FaceLimitError before any is listed.
     """
     shape = delta.shape
     if delta.is_void:
         return SqfIdeal(shape, (), is_unit=True)
-    _check_vertex_bound(shape)
-    # F | w is a face iff some facet holds F and w: the complex's bitset of
-    # facet positions per vertex, ANDed over F, tells without listing the
-    # faces.
-    holders = delta.vertex_holders
-
-    def nonfaces(face, cand):
-        common = (1 << len(delta.facet_set)) - 1
-        rest = face
-        while rest:
-            u = rest & -rest
-            rest ^= u
-            common &= holders[u]
-        out = 0
-        while cand:
-            w = cand & -cand
-            cand ^= w
-            if not common & holders.get(w, 0):
-                out |= w
-        return out
-
+    layers = delta.face_layers()
+    full = shape.full_mask
     gens = []
-    for face, cand, ext in _grow_faces(shape.full_mask, nonfaces):
-        tops = cand & ~ext & -(1 << face.bit_length())
-        while tops:
-            w = tops & -tops
-            tops ^= w
-            gens.append(face | w)
+    below = {}  # ext of the faces one size down
+    for layer, upper in zip(layers, layers[1:] + [[]]):
+        ext = dict.fromkeys(layer, 0)
+        for face in upper:
+            rest = face
+            while rest:
+                u = rest & -rest
+                rest ^= u
+                ext[face ^ u] |= u
+        for face, face_ext in ext.items():
+            tops = full & ~face_ext & -(1 << face.bit_length())
+            rest = face
+            while rest and tops:
+                u = rest & -rest
+                rest ^= u
+                tops &= below[face ^ u]
+            while tops:
+                w = tops & -tops
+                tops ^= w
+                gens.append(face | w)
+        below = ext
     return SqfIdeal(shape, tuple(gens))
 
 
 def complex_of(ideal: SqfIdeal) -> SimplicialComplex:
     """Stanley-Reisner complex: faces are the subsets containing no generator.
 
-    Grows the faces layer by layer: a set is a face when all its facets are
-    faces and it is not a generator, and a face with no extension is a
-    facet, so the cost is set by the number of faces.  Still refuses shapes
-    with more than MAX_SWEEP_VERTICES vertices (VertexLimitError).
+    Grows the faces layer by layer, each by the vertices above its top one:
+    a set is a face when all its facets are faces and it is not a
+    generator, and a face with no extension is a facet, so the cost is set
+    by the number of faces.  Refuses with FaceLimitError once more than
+    MAX_FACES faces have grown.
     """
     shape = ideal.shape
     if ideal.is_unit:
         raise UnitIdealError("the unit ideal corresponds to no simplicial complex")
-    _check_vertex_bound(shape)
     # blocked[F] holds the vertices w with F | w a generator.
     blocked = {}
     for g in ideal.generator_masks:
@@ -195,9 +160,34 @@ def complex_of(ideal: SqfIdeal) -> SimplicialComplex:
             u = rest & -rest
             rest ^= u
             blocked[g ^ u] = blocked.get(g ^ u, 0) | u
-    facets = [face for face, _, ext in
-              _grow_faces(shape.full_mask, lambda face, cand: cand & blocked.get(face, 0))
-              if not ext]
+    full = shape.full_mask
+    # layer maps each face of one size to its extensions: the vertices w
+    # outside it for which face | w is a face.
+    layer = {0: full & ~blocked.get(0, 0)}
+    budget = MAX_FACES - 1
+    facets = []
+    while layer:
+        grown_layer = {}
+        for face, ext in layer.items():
+            if not ext:
+                facets.append(face)
+            above = ext & -(1 << face.bit_length())
+            while above:
+                w = above & -above
+                above ^= w
+                grown = face | w
+                grown_ext = full & ~grown & ~blocked.get(grown, 0)
+                rest = grown
+                while rest:
+                    u = rest & -rest
+                    rest ^= u
+                    grown_ext &= layer[grown ^ u]
+                grown_layer[grown] = grown_ext
+                budget -= 1
+                if budget < 0:
+                    raise FaceLimitError(
+                        f"the complex of the ideal has more faces than the max_faces={MAX_FACES} face bound")
+        layer = grown_layer
     return SimplicialComplex(shape, tuple(facets))
 
 

@@ -719,6 +719,75 @@ def ideal_of_walk(delta):
     return tuple(gens)
 
 
+def _grow_faces(full, nonfaces):
+    """Walk the faces of a complex on the vertices `full`, layer by size.
+
+    Each face F comes with `cand`, the vertices w outside F for which every
+    facet of F | w is a face, and `ext`, those for which F | w is itself a
+    face.  F | w with w in cand - ext is then a minimal nonface, and
+    `nonfaces(F, cand)` must return exactly those w.  cand is the AND of ext
+    over the facets of F, so a face costs |F| lookups in the layer below it;
+    growing F only by vertices above its top one reaches every face once.
+    Yields (F, cand, ext) for every face, the empty face first.
+    """
+    ext = full & ~nonfaces(0, full)
+    yield 0, full, ext
+    layer = {0: ext}
+    while layer:
+        grown_layer = {}
+        for face, ext in layer.items():
+            above = ext & -(1 << face.bit_length())
+            while above:
+                w = above & -above
+                above ^= w
+                grown = face | w
+                cand = full & ~grown
+                rest = grown
+                while rest:
+                    u = rest & -rest
+                    rest ^= u
+                    cand &= layer[grown ^ u]
+                grown_ext = cand & ~nonfaces(grown, cand)
+                grown_layer[grown] = grown_ext
+                yield grown, cand, grown_ext
+        layer = grown_layer
+
+
+def ideal_of_grown(delta):
+    """SqfIdeal of the minimal nonfaces, by growing the faces with a
+    nonface test of its own: the facets holding F and w, one bitset of
+    facet positions per vertex.  The way `ideal_of` grew faces before it
+    read `face_layers`, without the vertex bound it applied."""
+    shape = delta.shape
+    if delta.is_void:
+        return SqfIdeal(shape, (), is_unit=True)
+    holders = delta.vertex_holders
+
+    def nonfaces(face, cand):
+        common = (1 << len(delta.facet_set)) - 1
+        rest = face
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            common &= holders[u]
+        out = 0
+        while cand:
+            w = cand & -cand
+            cand ^= w
+            if not common & holders.get(w, 0):
+                out |= w
+        return out
+
+    gens = []
+    for face, cand, ext in _grow_faces(shape.full_mask, nonfaces):
+        tops = cand & ~ext & -(1 << face.bit_length())
+        while tops:
+            w = tops & -tops
+            tops ^= w
+            gens.append(face | w)
+    return SqfIdeal(shape, tuple(gens))
+
+
 def complex_of_table(ideal):
     """Facet masks of the complex of a non-unit ideal, from a table of all
     2^n vertex subsets: the walk `complex_of` used to make."""

@@ -4,6 +4,7 @@ import pytest
 
 from vcmkit import (
     EmptyVarietyError,
+    FaceLimitError,
     Shape,
     SimplicialComplex,
     SqfIdeal,
@@ -28,6 +29,7 @@ from helpers import (
     cx,
     exponent_vectors,
     ideal_from_faces,
+    ideal_of_grown,
     ideal_of_walk,
     intersect_pairwise,
     irrelevant_as_ideal,
@@ -232,20 +234,68 @@ class TestAgainstSubsetWalks:
         assert SqfIdeal(shape, (0, 0b10000)).is_unit
 
 
-class TestVertexBound:
+def _sampled_union(entries, k, seed):
+    """k seeded balanced facets and the irrelevant complex: the unions of the
+    benchmark's `algebra` workload and of CI's round-trip step."""
+    shape = Shape(entries)
+    chosen = SimplicialComplex(shape, tuple(random.Random(seed).sample(shape.balanced_masks(), k)))
+    return union(chosen, irrelevant_complex(shape))
+
+
+class TestAgainstGrownFaces:
+    """ideal_of from `face_layers` against growing the faces with a nonface
+    test of its own."""
+
+    def test_seeded_unions(self):
+        for entries, k in [((3, 3, 3), 19), ((4, 3, 3), 24), ((4, 4, 3), 30), ((6, 6, 5), 40)]:
+            for seed in (20261020, 1, 2, 3):
+                u = _sampled_union(entries, k, seed)
+                ideal = ideal_of(u)
+                assert ideal == ideal_of_grown(u)
+                assert complex_of(ideal) == u
+
+    def test_dense_18_vertices(self):
+        shape = Shape((17,))
+        simplex = SimplicialComplex(shape, (shape.full_mask,))
+        boundary = SimplicialComplex(shape, tuple(shape.full_mask ^ 1 << p for p in range(18)))
+        assert ideal_of(simplex) == ideal_of_grown(simplex) == SqfIdeal(shape, ())
+        assert ideal_of(boundary) == ideal_of_grown(boundary) == SqfIdeal(shape, (shape.full_mask,))
+
+
+class TestFaceBound:
     shape = Shape((20,))  # 21 vertices
 
-    def test_complex_of_refuses_before_tabulating(self):
-        with pytest.raises(VertexLimitError, match="21 vertices exceed the max_vertices=20"):
-            complex_of(SqfIdeal(self.shape, ()))
-
-    def test_ideal_of_refuses_before_walking(self):
+    def test_ideal_of_refuses_before_listing_faces(self):
         full = SimplicialComplex(self.shape, (self.shape.full_mask,))
-        with pytest.raises(VertexLimitError, match="21 vertices exceed the max_vertices=20"):
+        with pytest.raises(FaceLimitError, match="may hold 2097152 faces, more than the max_faces=1048576"):
             ideal_of(full)
 
+    def test_complex_of_refuses_one_face_past_the_bound(self, monkeypatch):
+        rng = random.Random(20261104)
+        cases = [SimplicialComplex(Shape((3, 3)), (Shape((3, 3)).full_mask,))]
+        cases += [random_complex(Shape((2, 3)), rng, max_facets=4) for _ in range(10)]
+        for d in cases:
+            if d.is_void:
+                continue
+            ideal = ideal_of(d)
+            count = sum(map(len, d.face_layers()))
+            monkeypatch.setattr(stanley_reisner, "MAX_FACES", count - 1)
+            with pytest.raises(FaceLimitError, match=f"more faces than the max_faces={count - 1} face bound"):
+                complex_of(ideal)
+            monkeypatch.setattr(stanley_reisner, "MAX_FACES", count)
+            assert complex_of(ideal) == d
+
+    def test_sparse_complexes_past_20_vertices_round_trip(self):
+        wide = Shape((29,))
+        cases = [_sampled_union((5, 5, 5, 5), 40, 20261020),
+                 SimplicialComplex(wide, (0b111, 0b111 << 27, 1 << 14 | 1 << 29, 0))]
+        for d in cases:
+            ideal = ideal_of(d)
+            assert ideal == ideal_of_grown(d)
+            assert complex_of(ideal) == d
+
     def test_void_complex_is_unit_past_the_bound(self):
-        # The void complex needs no subset walk, so the bound does not apply.
+        # The void complex has no faces to list, so the bound does not apply.
         assert ideal_of(SimplicialComplex(self.shape, ())).is_unit
 
     def test_unit_ideal_raises_unit_error_past_the_bound(self):
@@ -255,6 +305,7 @@ class TestVertexBound:
     def test_one_class_everywhere(self):
         assert homology.VertexLimitError is complexes.VertexLimitError is VertexLimitError
         assert issubclass(VertexLimitError, ValueError)
+        assert stanley_reisner.FaceLimitError is complexes.FaceLimitError is FaceLimitError
 
 
 class TestPrimeComponents:
