@@ -15,12 +15,13 @@ the I : b^∞ over the generators b of B, and I : b^∞ sets every variable of
 supp(b) to 1.  Two more facts keep the one pass cheap without changing any
 ideal it builds:
 
-- (I : (xy)^∞) = ((I : x^∞) : y^∞), so each support is walked in variable
-  order, and the colon by each prefix is computed once and shared by every
-  b whose support starts with it; the balanced generators of B share most
-  of their prefixes.  Colon by x^∞ changes only the generators that use x,
-  so only those are minimalised, and then each untouched generator is
-  tested against them.
+- (I : (xy)^∞) = ((I : x^∞) : y^∞), so B's distinct supports, each as its
+  variables in order, form a trie, and the colon by each prefix is taken
+  once, at its node.  A node intersects its children's results, so each
+  intersection meets two sibling ideals, and a node whose prefix is a
+  support stops there: its colon lies inside every extension's.  Colon by
+  x^∞ changes only the generators that use x, so only those are
+  minimalised, and then each untouched generator is tested against them.
 - Intersecting two ideals forms lcms only between generators that lie
   outside the other ideal: a generator that lies in the other ideal is a
   generator of the intersection on its own, its lcms are its multiples,
@@ -36,7 +37,8 @@ are all faces is either a face or a minimal nonface: `ideal_of` finds the
 minimal nonfaces from the vertices that extend each face, and
 `complex_of` tells faces from generators and keeps the faces with no
 extension as facets.  SqfIdeal minimises its generators as the
-complements of the maximal complements.
+complements of the maximal complements; the minimal nonfaces `ideal_of`
+finds are already minimal and distinct, so it only sorts them.
 """
 
 from __future__ import annotations
@@ -90,6 +92,18 @@ class SqfIdeal:
         object.__setattr__(self, "generator_masks", tuple(kept))
         object.__setattr__(self, "is_unit", unit)
 
+    @classmethod
+    def _from_minimal(cls, shape: Shape, masks: list) -> "SqfIdeal":
+        """Adopt distinct, pairwise incomparable, nonzero masks inside the
+        shape, skipping __post_init__'s checks and minimisation; only the
+        sort is left."""
+        masks.sort(key=lambda m: (_popcount(m), shape.bits_key(m)))
+        ideal = cls.__new__(cls)
+        object.__setattr__(ideal, "shape", shape)
+        object.__setattr__(ideal, "generator_masks", tuple(masks))
+        object.__setattr__(ideal, "is_unit", False)
+        return ideal
+
     @property
     def is_zero(self) -> bool:
         return not self.is_unit and not self.generator_masks
@@ -137,7 +151,8 @@ def ideal_of(delta: SimplicialComplex) -> SqfIdeal:
                 tops ^= w
                 gens.append(face | w)
         below = ext
-    return SqfIdeal(shape, tuple(gens))
+    # Minimal nonfaces are distinct and form an antichain: only sort them.
+    return SqfIdeal._from_minimal(shape, gens)
 
 
 def complex_of(ideal: SqfIdeal) -> SimplicialComplex:
@@ -406,15 +421,42 @@ def _intersect(a_gens, c_gens, packing: _Packing) -> list:
     return _by_degree(gens, packing)
 
 
+def _saturate_trie(gens, trie: dict, packing: _Packing) -> list:
+    """Minimal generators of the intersection of the I : b^∞ over B's
+    supports, for I minimally generated by `gens`, depth-first along their
+    trie.
+
+    A node maps a variable's field to the child for the prefix grown by it,
+    or to None where that prefix is a support.  Each child takes one colon
+    of its parent's ideal, and each intersection meets two sibling results.
+    The walk keeps its own stack, so a long support needs no recursion.
+    """
+    stack = [[gens, list(trie.items()), None]]  # [ideal, children left, their intersection]
+    while True:
+        frame = stack[-1]
+        if frame[1]:
+            field, child = frame[1].pop()
+            colon = _colon_variable(frame[0], field, packing)
+            if child:
+                stack.append([colon, list(child.items()), None])
+                continue
+        else:
+            colon = stack.pop()[2]
+            if not stack:
+                return colon
+            frame = stack[-1]
+        frame[2] = colon if frame[2] is None else _intersect(frame[2], colon, packing)
+
+
 def saturation_oracle(ideal_gens: Sequence, b_gens: Sequence) -> list:
     """Saturate one monomial ideal by another on raw exponent vectors.
 
     Computes I : B^∞ as the intersection of the I : b^∞ over the generators
     b of B, in one pass, independently of the facet shortcut in
     `saturate_by_B`.  I : b^∞ sets every variable of supp(b) to 1: it is one
-    colon by x^∞ per variable x of supp(b), in variable order, and the colon
-    by each prefix is kept in a dict and shared by the generators of B whose
-    supports start with it.  The exponent vectors are packed into ints, so
+    colon by x^∞ per variable x of supp(b), in variable order, taken once
+    per prefix along the trie of B's distinct supports (see
+    `_saturate_trie`).  The exponent vectors are packed into ints, so
     divisibility, colons and lcms are a few bit operations each, for any
     exponent size.  Intersections minimalise only the lcms they form (see
     `_intersect`).  Returns the minimal generators as tuples sorted by
@@ -441,19 +483,22 @@ def saturation_oracle(ideal_gens: Sequence, b_gens: Sequence) -> list:
     # Colons only lower exponents and lcms take maxima, so I's largest
     # exponent bounds every field.
     packing = _Packing.for_exponents(nvars, max(map(max, ideal_gens)) if nvars else 0)
-    # memo maps each prefix of a support, as the mask of its fields, to the
-    # colon by it.
-    field = (1 << packing.width - 1) - 1
-    memo = {0: _minimalize([packing.pack(g) for g in ideal_gens], packing)}
-    quotient = None
-    for b in b_gens:
-        prefix = 0
-        for i, e in enumerate(b):
-            if e:
-                grown = prefix | field << (nvars - 1 - i) * packing.width
-                if grown not in memo:
-                    memo[grown] = _colon_variable(memo[prefix], grown ^ prefix, packing)
-                prefix = grown
-        colon = memo[prefix]
-        quotient = colon if quotient is None else _intersect(quotient, colon, packing)
-    return [packing.unpack(v) for v in quotient]
+    gens = _minimalize([packing.pack(g) for g in ideal_gens], packing)
+    # Each support as its variables' field masks, in variable order; sorted,
+    # a support comes before its extensions, which then stay out of the trie.
+    field = (1 << packing.width) - 1
+    shifts = [(nvars - 1 - i) * packing.width for i in range(nvars)]
+    supports = sorted({tuple(field << s for s, e in zip(shifts, b) if e) for b in b_gens})
+    if supports[0]:
+        trie = {}
+        for support in supports:
+            node = trie
+            for f in support[:-1]:
+                node = node.setdefault(f, {})
+                if node is None:
+                    break
+            else:
+                node[support[-1]] = None
+        gens = _saturate_trie(gens, trie, packing)
+    # Otherwise B holds the zero vector, and I : 1^∞ = I lies inside every colon.
+    return [packing.unpack(v) for v in gens]

@@ -6,10 +6,11 @@ route here: augment the complex by irrelevant facets of top dimension until
 the union becomes Cohen-Macaulay; the union's minimal resolution then has
 the right length and restricts correctly.  This module carries the sparse
 polynomial arithmetic for matrix presentations (`compose_failures` multiplies
-only nonzero entries, accumulating coefficient dicts per product entry), the
-two worked 6-vertex fixtures with their displayed matrix pairs, the
-exhaustive augmentation search, and the certificate containers shared with
-the CLI.  The search tests each union with `homology.UnionReisner`, which
+only nonzero entries, with each monomial's exponents packed into one int so a
+product of monomials is one add, accumulating coefficient dicts per product
+entry), the two worked 6-vertex fixtures with their displayed matrix pairs,
+the exhaustive augmentation search, and the certificate containers shared
+with the CLI.  The search tests each union with `homology.UnionReisner`, which
 runs Reisner's criterion incrementally on face masks.
 """
 
@@ -19,7 +20,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from operator import add
 from typing import NamedTuple
 
 from .complexes import InvalidVertexError, Shape, SimplicialComplex, Vertex, format_face, union
@@ -222,25 +222,40 @@ def compose_failures(pres: FreeComplexPresentation) -> tuple:
 
     Sparse: the nonzero entries of each row of the right-hand matrix are
     listed once, and row i of the product accumulates only the products of
-    nonzero entries, one coefficient dict per column.  The products are
-    summed inline rather than with Polynomial `*` and `+`, which build and
-    re-validate a Polynomial per product and made this about 5x slower.
+    nonzero entries, one coefficient dict per column.  Each distinct
+    Polynomial object is packed once into (exponents, coefficient) pairs,
+    the exponents as one int with a field of (2 * largest exponent)
+    .bit_length() bits per variable, so the product of two monomials is one
+    int add that carries between no fields.  The products are summed inline
+    rather than with Polynomial `*` and `+`, which build and re-validate a
+    Polynomial per product and made this about 5x slower.
     """
+    entries = {id(p): p for mat in pres.matrices for row in mat for p in row if p.terms}
+    expos = {e for p in entries.values() for e in p.terms}
+    width = (2 * max(itertools.chain.from_iterable(expos), default=0)).bit_length()
+    codes = {}
+    for expo in expos:
+        v = 0
+        for e in expo:
+            v = v << width | e
+        codes[expo] = v
+    packed = {key: [(codes[e], c) for e, c in p.terms.items()] for key, p in entries.items()}
     bad = []
     for k in range(len(pres.matrices) - 1):
         left, right = pres.matrices[k], pres.matrices[k + 1]
-        right_rows = [[(j, entry.terms.items()) for j, entry in enumerate(row) if entry.terms]
+        right_rows = [[(j, packed[id(entry)]) for j, entry in enumerate(row) if entry.terms]
                       for row in right]
         for i, row in enumerate(left):
             sums = {}
             for t, entry in enumerate(row):
                 if not entry.terms:
                     continue
+                left_terms = packed[id(entry)]
                 for j, right_terms in right_rows[t]:
                     acc = sums.setdefault(j, {})
-                    for ea, ca in entry.terms.items():
+                    for ea, ca in left_terms:
                         for eb, cb in right_terms:
-                            key = tuple(map(add, ea, eb))
+                            key = ea + eb
                             acc[key] = acc.get(key, 0) + ca * cb
             bad.extend((k, i, j) for j in sorted(sums) if any(sums[j].values()))
     return tuple(bad)

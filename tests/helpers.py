@@ -1001,18 +1001,23 @@ def flip_one_entry(pres, rng):
     return FreeComplexPresentation(pres.shape, pres.ranks, mats)
 
 
-def random_presentation(shape, rng, max_rank=4, max_length=5, density=0.4):
+def random_polynomial(nvars, rng, top=1, max_terms=3):
+    """1 to max_terms terms with exponents 0 to `top` and coefficients
+    +-1, +-2 (constants included)."""
+    return Polynomial(nvars, [
+        (tuple(rng.randint(0, top) for _ in range(nvars)), rng.choice((-2, -1, 1, 2)))
+        for _ in range(rng.randint(1, max_terms))])
+
+
+def random_presentation(shape, rng, max_rank=4, max_length=5, density=0.4, top=1):
     """Free complex of random ranks with sparse random entries: each entry is
-    zero with probability 1 - density, otherwise 1-3 terms with exponents
-    0-1 and coefficients +-1, +-2 (constants included)."""
+    zero with probability 1 - density, otherwise a `random_polynomial`."""
     nvars = shape.num_vertices
 
     def entry():
         if rng.random() >= density:
             return Polynomial.zero(nvars)
-        return Polynomial(nvars, [
-            (tuple(rng.randint(0, 1) for _ in range(nvars)), rng.choice((-2, -1, 1, 2)))
-            for _ in range(rng.randint(1, 3))])
+        return random_polynomial(nvars, rng, top)
 
     ranks = tuple(rng.randint(0, max_rank) for _ in range(rng.randint(1, max_length)))
     matrices = tuple(

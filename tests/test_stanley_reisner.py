@@ -102,6 +102,13 @@ class TestIdealOf:
         assert set(ideal_of(c34.complex).generators) == _label_faces(
             ["abcd", "abcf", "abde", "abef", "adef", "bcef", "cdef"])
 
+    def test_one_edge_on_a_wide_shape(self):
+        # 1,998 singleton generators, minimal as found, so only sorted.
+        shape = Shape((1999,))
+        ideal = ideal_of(SimplicialComplex(shape, (0b11,)))
+        assert ideal.generator_masks == tuple(1 << p for p in range(2, 2000))
+        assert not ideal.is_unit
+
     def test_against_bruteforce(self):
         rng = random.Random(41)
         for entries in [(2, 1), (1, 1, 1)]:
@@ -582,6 +589,7 @@ class TestSaturationOracleAgainstTuples:
             # The same loop checks the face-set translation against the subset walks.
             ideal = ideal_of(d)
             assert ideal.generator_masks == ideal_of_walk(d)
+            assert ideal == SqfIdeal(shape, ideal.generator_masks, ideal.is_unit)
             back = complex_of(ideal)
             assert back == d and set(back.facet_masks) == set(complex_of_table(ideal))
             gens = exponent_vectors(ideal)
@@ -634,24 +642,28 @@ def _b_vectors(shape):
     return [tuple(m >> i & 1 for i in range(n)) for m in shape.balanced_masks()]
 
 
+@pytest.fixture
+def intersections(monkeypatch):
+    """A list that grows by one entry per `_intersect` call."""
+    calls = []
+    intersect = stanley_reisner._intersect
+
+    def counted(*args):
+        calls.append(None)
+        return intersect(*args)
+
+    monkeypatch.setattr(stanley_reisner, "_intersect", counted)
+    return calls
+
+
 class TestOnePassOnSquarefreeInput:
     """The oracle saturates in one pass, with one intersection per
-    generator of B after the first, for squarefree and other input alike."""
+    distinct support of B after the first, for squarefree and other input
+    alike."""
 
-    def count_intersections(self, monkeypatch):
-        calls = []
-        intersect = stanley_reisner._intersect
-
-        def counted(*args):
-            calls.append(None)
-            return intersect(*args)
-
-        monkeypatch.setattr(stanley_reisner, "_intersect", counted)
-        return calls
-
-    def test_pass_count(self, monkeypatch):
+    def test_pass_count(self, intersections):
         rng = random.Random(20261020)
-        calls = self.count_intersections(monkeypatch)
+        calls = intersections
         for entries in [(2, 1), (1, 1, 1), (2, 2, 1)]:
             shape = Shape(entries)
             b = _b_vectors(shape)
@@ -694,6 +706,94 @@ class TestOnePassOnSquarefreeInput:
             want = _same_as_tuples(ideal, b)
             outcomes.add(want[0] if isinstance(want, tuple) else len(want) > 1)
         assert outcomes == {True, False}
+
+
+def _trie_leaves(b):
+    """The distinct supports of B, as sorted variable tuples, that have no
+    other support as a proper prefix."""
+    supports = {tuple(i for i, e in enumerate(v) if e) for v in b}
+    return [s for s in supports if not any(len(t) < len(s) and s[:len(t)] == t for t in supports)]
+
+
+class TestSupportTrie:
+    """The oracle walks the trie of B's distinct supports: one intersection
+    per leaf after the first, where a leaf is a support with no other
+    support as a proper prefix, and the same ideal as the tuple oracle."""
+
+    def check(self, calls, ideal, b):
+        calls.clear()
+        want = _same_as_tuples(ideal, b)
+        if isinstance(want, list) and want:
+            assert len(calls) == len(_trie_leaves(b)) - 1
+        return want
+
+    def test_repeated_supports(self, intersections):
+        rng = random.Random(20261101)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            ideal = [_random_vector(rng, n) for _ in range(rng.randint(1, 5))]
+            b = [_random_vector(rng, n) for _ in range(rng.randint(1, 4))]
+            # The same supports again, with other exponents.
+            b += [tuple(rng.randint(1, 5) if e else 0 for e in v) for v in b]
+            rng.shuffle(b)
+            self.check(intersections, ideal, b)
+            distinct = {tuple(map(bool, v)) for v in b}
+            assert len(_trie_leaves(b)) <= len(distinct) < len(b)
+
+    def test_support_that_is_a_proper_prefix(self, intersections):
+        # {x0} is a prefix of {x0, x2} and of {x0, x1, x3}, but {x1} is a
+        # subset of {x0, x1, x3} and no prefix of it.
+        ideal = [(2, 1, 0, 1), (0, 3, 1, 0), (1, 0, 2, 2), (0, 0, 1, 3)]
+        b = [(1, 0, 1, 0), (0, 1, 0, 0), (3, 0, 0, 0), (1, 1, 0, 1)]
+        assert sorted(_trie_leaves(b)) == [(0,), (1,)]
+        self.check(intersections, ideal, b)
+        rng = random.Random(20261102)
+        for _ in range(100):
+            n = rng.randint(2, 6)
+            ideal = [_random_vector(rng, n) for _ in range(rng.randint(1, 5))]
+            b = [_random_vector(rng, n) for _ in range(rng.randint(1, 4))]
+            # Cut each support after one of its variables, and keep both.
+            for v in list(b):
+                held = [i for i, e in enumerate(v) if e]
+                if len(held) > 1:
+                    cut = rng.choice(held[:-1])
+                    b.append(tuple(e if i <= cut else 0 for i, e in enumerate(v)))
+            rng.shuffle(b)
+            self.check(intersections, ideal, b)
+
+    def test_zero_vector_stops_at_the_root(self, intersections):
+        rng = random.Random(20261103)
+        for _ in range(50):
+            n = rng.randint(1, 5)
+            ideal = [_random_vector(rng, n) for _ in range(rng.randint(1, 4))]
+            b = [_random_vector(rng, n) for _ in range(rng.randint(0, 3))] + [(0,) * n]
+            rng.shuffle(b)
+            assert _trie_leaves(b) == [()]
+            self.check(intersections, ideal, b)
+
+    def test_random_supports_without_product_structure(self, intersections):
+        rng = random.Random(20261104)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            ideal = [tuple(rng.choice((0, 0, 1, 1, 2, 5)) for _ in range(n))
+                     for _ in range(rng.randint(1, 6))]
+            b = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(1, 8))]
+            want = self.check(intersections, ideal, b)
+            outcomes.add(want[0] if isinstance(want, tuple) else len(want) > 1)
+        assert outcomes == {True, False}
+
+    def test_branching_at_every_depth(self):
+        # Supports {x0..x(k-1), x(k+1)} and the whole set branch the trie at
+        # every one of its n levels, deeper than Python's recursion limit.
+        # Only {x0, x2} misses x1 and x(n-1) and x(n/2), so it keeps the
+        # ideal whole, and the saturation is the ideal itself.
+        n = 1050
+        b = [tuple(1 if i < k or i == k + 1 else 0 for i in range(n)) for k in range(n - 1)]
+        b.append((1,) * n)
+        ideal = [tuple(2 if i == n // 2 else 0 for i in range(n)),
+                 tuple(1 if i in (1, n - 1) else 0 for i in range(n))]
+        assert saturation_oracle(ideal, b) == ideal
 
 
 class TestMinimalizeAgainstPairwise:

@@ -43,6 +43,7 @@ from helpers import (
     is_relevant,
     koszul_presentation,
     random_balanced,
+    random_polynomial,
     random_presentation,
     random_pure_relevant,
 )
@@ -235,6 +236,63 @@ class TestComposeAgainstDense:
     def test_paper_fixtures(self, fig1, c34):
         assert self.check(fig1.presentation) == ()
         assert self.check(c34.presentation) == ()
+        rng = random.Random(20261105)
+        for pres in (fig1.presentation, c34.presentation):
+            for _ in range(10):
+                assert self.check(flip_one_entry(pres, rng))
+
+    def test_exponents_up_to_a_million(self):
+        rng = random.Random(20261106)
+        top = 10 ** 6
+        reported = clean = 0
+        for entries in [(1,), (1, 1), (2, 1)]:
+            for _ in range(60):
+                failures = self.check(random_presentation(Shape(entries), rng, top=top))
+                reported += bool(failures)
+                clean += not failures
+        assert reported and clean
+        # With fields of top.bit_length() bits, x1^top * x1^top would carry
+        # into x0's field and cancel against x0 * x1^(2 * top - 2^20).
+        x0, x1_top = Polynomial.variable(2, 0), Polynomial(2, {(0, top): 1})
+        other = Polynomial(2, {(0, 2 * top - 2 ** top.bit_length()): -1})
+        pres = FreeComplexPresentation(
+            Shape((1,)), (1, 2, 1), (((x1_top, x0),), ((x1_top,), (other,))))
+        assert self.check(pres) == ((0, 0, 0),)
+
+    def test_products_that_cancel_to_zero(self):
+        # Row (p, q) against the column (q, -p): every coefficient cancels.
+        rng = random.Random(20261107)
+        shape = Shape((1, 1))
+        zero = Polynomial.zero(4)
+        for top in (1, 2, 10 ** 6):
+            for _ in range(40):
+                p, q, r = (random_polynomial(4, rng, top, max_terms=4) for _ in range(3))
+                pres = FreeComplexPresentation(
+                    shape, (1, 3, 2), (((p, q, r),), ((q, r), (-p, zero), (zero, -p))))
+                assert self.check(pres) == ()
+
+    def test_shared_and_unshared_entries(self):
+        # The same presentation with each cell a fresh copy, and with every
+        # cell drawn from a pool of a few shared objects.
+        rng = random.Random(20261108)
+        shape = Shape((2, 1))
+        nvars = shape.num_vertices
+        for _ in range(60):
+            pres = random_presentation(shape, rng, density=0.7)
+            copied = [[[Polynomial(nvars, p.terms) for p in row] for row in mat]
+                      for mat in pres.matrices]
+            assert compose_failures(FreeComplexPresentation(shape, pres.ranks, copied)) \
+                == self.check(pres)
+            pool = [random_polynomial(nvars, rng) for _ in range(3)] + [Polynomial.zero(nvars)]
+            shared = [[[rng.choice(pool) for _ in row] for row in mat] for mat in pres.matrices]
+            self.check(FreeComplexPresentation(shape, pres.ranks, shared))
+
+    def test_all_zero_and_empty_shapes(self):
+        shape = Shape((1,))
+        for ranks in [(0, 0, 0), (0, 3, 2), (2, 3, 0), (2, 0, 3), (3, 2, 0, 1), (1, 1, 1), (2, 3, 2, 1)]:
+            zero = Polynomial.zero(2)
+            mats = tuple(((zero,) * ranks[k + 1],) * ranks[k] for k in range(len(ranks) - 1))
+            assert self.check(FreeComplexPresentation(shape, ranks, mats)) == ()
 
     def test_koszul_chains(self):
         rng = random.Random(20261020)
