@@ -30,8 +30,8 @@ from .linalg import (
     sparse_rank,
 )
 from .shelling import (
-    BalancedCertificate,
     ShellingCheck,
+    ShellingEvidence,
     balanced_vcm_certificate,
     irrelevant_complex,
     irrelevant_shelling_order,
@@ -55,7 +55,6 @@ from .vres import (
     PdimEvidence,
     Polynomial,
     SearchOutcome,
-    ShellingEvidence,
     VcmCertificate,
     augmentation_search,
     certify_balanced,

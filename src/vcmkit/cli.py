@@ -176,7 +176,7 @@ def _human_lines(obj, prefix=""):
 
 def _emit(report, args):
     """Write the report to stdout and, if asked, to --out, serialised once."""
-    out = getattr(args, "out", None) if args.command != "fixtures" else None
+    out = getattr(args, "out", None)
     text = _dump(report) if args.json or out else None
     if args.json:
         sys.stdout.write(text)
@@ -302,13 +302,13 @@ def cmd_search(args):
 
 def cmd_fixtures(args):
     fixture = paper_fixture(args.name)
-    os.makedirs(args.out, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     paths = []
-    doc_path = os.path.join(args.out, f"{args.name}.json")
+    doc_path = os.path.join(args.out_dir, f"{args.name}.json")
     with open(doc_path, "w", encoding="utf-8") as handle:
         handle.write(_dump(complex_document(fixture.complex, fixture.labels)))
     paths.append(doc_path)
-    mat_path = os.path.join(args.out, f"{args.name}_matrices.json")
+    mat_path = os.path.join(args.out_dir, f"{args.name}_matrices.json")
     with open(mat_path, "w", encoding="utf-8") as handle:
         handle.write(_dump(matrix_document(fixture.presentation)))
     paths.append(mat_path)
@@ -382,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixtures", help="write the worked example documents")
     p.add_argument("name", help=f"one of: {', '.join(FIXTURE_NAMES)}")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", dest="out_dir", metavar="OUT", required=True,
+                   help="output directory")
     _add_json_flag(p)
     p.set_defaults(func=cmd_fixtures)
 

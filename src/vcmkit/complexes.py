@@ -62,13 +62,15 @@ MAX_SWEEP_VERTICES = 20
 class FaceLimitError(ValueError):
     """Listing a complex's faces was refused: `SimplicialComplex.face_layers`
     refuses before it starts when they may number more than MAX_FACES, and
-    `complex_of`, which grows the faces of an ideal's complex, refuses once
-    more than MAX_FACES have grown."""
+    `complex_of`, which grows the faces of an ideal's complex on the
+    generators' vertices, refuses once more than MAX_FACES of those have
+    grown."""
 
 
 # Largest face count a face walk may reach: face_layers reads a complex's
 # count as the smaller of sum 2^|F| over the facets F and 2^m on the m
-# vertices in use, and complex_of counts the faces it has grown.
+# vertices in use, and complex_of counts the faces it grows on the
+# generators' vertices (the others are cone apexes, in every facet).
 MAX_FACES = 1 << MAX_SWEEP_VERTICES
 
 

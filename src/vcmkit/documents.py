@@ -21,12 +21,11 @@ import json
 from .complexes import Shape, SimplicialComplex, Vertex, _bits, union
 from .homology import projective_dimension
 from .linalg import field_label, parse_field
-from .shelling import verify_shelling_masks
+from .shelling import ShellingEvidence, verify_shelling_masks
 from .stanley_reisner import codim, codim_affine
 from .vres import (
     FreeComplexPresentation,
     PdimEvidence,
-    ShellingEvidence,
     VcmCertificate,
     parse_polynomial,
     render_polynomial,
@@ -272,7 +271,7 @@ def certificate_from_dict(data) -> VcmCertificate:
     if ev["kind"] == "shelling":
         if "order" not in ev or not isinstance(ev["order"], list):
             raise DocumentError("evidence.order: expected a list of faces")
-        evidence = ShellingEvidence(shape, _read_masks(ev["order"], shape, "evidence.order"))
+        evidence = ShellingEvidence(delta_prime, _read_masks(ev["order"], shape, "evidence.order"))
     elif ev["kind"] == "pdim":
         for key in ("field", "pdim", "codim_affine"):
             if key not in ev:

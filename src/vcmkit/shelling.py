@@ -3,8 +3,11 @@
 The constructive side of the toolkit: the irrelevant complex of a shape, the
 explicit shelling order for (irrelevant complex + one balanced facet), and
 the full pipeline that augments any balanced complex by irrelevant facets
-until the union is shellable.  Shellings are always re-verified by the
-order-checker here rather than trusted from construction.
+until the union is shellable.  Its result, a `ShellingEvidence` (the
+augmentation and the union's order), is also the evidence that a
+certify-balanced `vres.VcmCertificate` carries.  Shellings are always
+re-verified by the order-checker here rather than trusted from
+construction.
 """
 
 from __future__ import annotations
@@ -158,10 +161,12 @@ def irrelevant_shelling_order(shape: Shape, base) -> ShellingOrder:
 
 
 @dataclass(frozen=True)
-class BalancedCertificate:
-    """Irrelevant augmentation plus an explicit shelling order for the union.
+class ShellingEvidence:
+    """Irrelevant augmentation plus a verified shelling order of the union.
 
-    The order is kept as facet masks; `order` builds its faces on demand.
+    Shellable implies Cohen-Macaulay over every field, so no field is
+    recorded.  The order is kept as facet masks; `order` builds its faces
+    on demand.
     """
 
     delta_prime: SimplicialComplex
@@ -172,7 +177,7 @@ class BalancedCertificate:
         return tuple(map(self.delta_prime.shape.face_from_mask, self.order_masks))
 
 
-def balanced_vcm_certificate(delta: SimplicialComplex) -> BalancedCertificate:
+def balanced_vcm_certificate(delta: SimplicialComplex) -> ShellingEvidence:
     """Shellability certificate for any balanced complex.
 
     A zero entry of the shape is a component with a single vertex, which
@@ -195,12 +200,12 @@ def balanced_vcm_certificate(delta: SimplicialComplex) -> BalancedCertificate:
     order = [m | cone for m in _shelling_masks(bits, delta.facet_masks[0])]
     delta_prime = SimplicialComplex(shape, tuple(order[1:]))
     order.extend(delta.facet_masks[1:])
-    cert = BalancedCertificate(delta_prime, tuple(order))
+    cert = ShellingEvidence(delta_prime, tuple(order))
     _check_certificate(delta, cert)
     return cert
 
 
-def _check_certificate(delta: SimplicialComplex, cert: BalancedCertificate) -> None:
+def _check_certificate(delta: SimplicialComplex, cert: ShellingEvidence) -> None:
     if any(delta.shape.is_relevant_mask(m) for m in cert.delta_prime.facet_set):
         raise AssertionError("augmentation contains a relevant facet")
     check = verify_shelling_masks(union(delta, cert.delta_prime), cert.order_masks)

@@ -30,15 +30,18 @@ ideal it builds:
 
 `ideal_of` reads the complex's faces from `face_layers` and `complex_of`
 grows the faces of the ideal's complex layer by layer, so both cost what
-the faces do rather than 2^n.  `ideal_of` refuses a complex that may have
-more than MAX_FACES faces before listing any, and `complex_of` refuses
-once more than MAX_FACES have grown (FaceLimitError).  A set whose facets
-are all faces is either a face or a minimal nonface: `ideal_of` finds the
-minimal nonfaces from the vertices that extend each face, and
-`complex_of` tells faces from generators and keeps the faces with no
-extension as facets.  SqfIdeal minimises its generators as the
-complements of the maximal complements; the minimal nonfaces `ideal_of`
-finds are already minimal and distinct, so it only sorts them.
+the faces do rather than 2^n.  `complex_of` grows them only on the
+generators' vertices: every other vertex is a cone apex, in every facet,
+so the zero ideal on any shape is the full simplex at once.  `ideal_of`
+refuses a complex that may have more than MAX_FACES faces before listing
+any, and `complex_of` refuses once more than MAX_FACES have grown
+(FaceLimitError).  A set whose facets are all faces is either a face or a
+minimal nonface: `ideal_of` finds the minimal nonfaces from the vertices
+that extend each face, and `complex_of` tells faces from generators and
+keeps the faces with no extension as facets.  SqfIdeal minimises its
+generators as the complements of the maximal complements; the minimal
+nonfaces `ideal_of` finds are already minimal and distinct, so it only
+sorts them.
 """
 
 from __future__ import annotations
@@ -158,40 +161,45 @@ def ideal_of(delta: SimplicialComplex) -> SqfIdeal:
 def complex_of(ideal: SqfIdeal) -> SimplicialComplex:
     """Stanley-Reisner complex: faces are the subsets containing no generator.
 
-    Grows the faces layer by layer, each by the vertices above its top one:
-    a set is a face when all its facets are faces and it is not a
+    A vertex in no generator lies in every facet (a cone apex), so the faces
+    are grown only on the generators' vertices and the apexes are ORed into
+    each facet; the zero ideal gives the full simplex without growing any
+    face.  The faces grow layer by layer, each by the vertices above its top
+    one: a set is a face when all its facets are faces and it is not a
     generator, and a face with no extension is a facet, so the cost is set
-    by the number of faces.  Refuses with FaceLimitError once more than
-    MAX_FACES faces have grown.
+    by the number of faces on the generators' vertices.  Refuses with
+    FaceLimitError once more than MAX_FACES of those have grown.
     """
     shape = ideal.shape
     if ideal.is_unit:
         raise UnitIdealError("the unit ideal corresponds to no simplicial complex")
     # blocked[F] holds the vertices w with F | w a generator.
     blocked = {}
+    used = 0
     for g in ideal.generator_masks:
+        used |= g
         rest = g
         while rest:
             u = rest & -rest
             rest ^= u
             blocked[g ^ u] = blocked.get(g ^ u, 0) | u
-    full = shape.full_mask
+    apexes = shape.full_mask & ~used
     # layer maps each face of one size to its extensions: the vertices w
-    # outside it for which face | w is a face.
-    layer = {0: full & ~blocked.get(0, 0)}
+    # outside it for which face | w is a face, among the generators' vertices.
+    layer = {0: used & ~blocked.get(0, 0)}
     budget = MAX_FACES - 1
     facets = []
     while layer:
         grown_layer = {}
         for face, ext in layer.items():
             if not ext:
-                facets.append(face)
+                facets.append(face | apexes)
             above = ext & -(1 << face.bit_length())
             while above:
                 w = above & -above
                 above ^= w
                 grown = face | w
-                grown_ext = full & ~grown & ~blocked.get(grown, 0)
+                grown_ext = used & ~grown & ~blocked.get(grown, 0)
                 rest = grown
                 while rest:
                     u = rest & -rest
@@ -248,7 +256,8 @@ def codim_affine(delta: SimplicialComplex) -> int:
 # and lcms never exceed the largest exponent of I), which leaves that bit
 # free as a guard: (a | guard) - b subtracts all fields at once without
 # borrowing across them, and the surviving guard bits mark the fields where
-# a >= b.
+# a >= b.  `vres.compose_failures` packs its monomials with the same codec;
+# there the guard bit takes the carry of a sum of two exponents.
 
 
 class _Packing(NamedTuple):

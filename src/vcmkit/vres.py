@@ -6,12 +6,15 @@ route here: augment the complex by irrelevant facets of top dimension until
 the union becomes Cohen-Macaulay; the union's minimal resolution then has
 the right length and restricts correctly.  This module carries the sparse
 polynomial arithmetic for matrix presentations (`compose_failures` multiplies
-only nonzero entries, with each monomial's exponents packed into one int so a
-product of monomials is one add, accumulating coefficient dicts per product
-entry), the two worked 6-vertex fixtures with their displayed matrix pairs,
-the exhaustive augmentation search, and the certificate containers shared
-with the CLI.  The search tests each union with `homology.UnionReisner`, which
-runs Reisner's criterion incrementally on face masks.
+only nonzero entries, with each monomial's exponents packed into one int by
+the saturation oracle's `_Packing` so a product of monomials is one add,
+accumulating coefficient dicts per product entry), the two worked 6-vertex
+fixtures with their displayed matrix pairs, the exhaustive augmentation
+search, and the certificate containers shared with the CLI.  A
+certify-balanced certificate carries the `shelling.ShellingEvidence` that
+`balanced_vcm_certificate` returns as its evidence.  The search tests each
+union with `homology.UnionReisner`, which runs Reisner's criterion
+incrementally on face masks.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from typing import NamedTuple
 from .complexes import InvalidVertexError, Shape, SimplicialComplex, Vertex, format_face, union
 from .homology import UnionReisner, projective_dimension
 from .linalg import CoefficientField
-from .shelling import ShellingOrder, balanced_vcm_certificate
-from .stanley_reisner import EmptyVarietyError, codim, codim_affine, saturate_by_B
+from .shelling import balanced_vcm_certificate
+from .stanley_reisner import EmptyVarietyError, _Packing, codim, codim_affine, saturate_by_B
 
 DEFAULT_FIELD = CoefficientField(2)
 
@@ -55,16 +58,6 @@ class Polynomial:
                     raise ValueError(f"negative exponent in {expo}")
                 merged[expo] = merged.get(expo, 0) + int(coeff)
         self.terms = {e: c for e, c in merged.items() if c}
-
-    @classmethod
-    def _from_checked(cls, nvars: int, terms: dict) -> "Polynomial":
-        """Adopt a dict from int exponent tuples of length nvars, all entries
-        non-negative, to int coefficients, skipping __init__'s checks and
-        conversions; zero coefficients are dropped."""
-        poly = cls.__new__(cls)
-        poly.nvars = nvars
-        poly.terms = {e: c for e, c in terms.items() if c}
-        return poly
 
     @classmethod
     def zero(cls, nvars) -> "Polynomial":
@@ -154,7 +147,7 @@ def parse_polynomial(text: str, shape: Shape) -> Polynomial:
                 raise ValueError(f"variable {v} is outside shape {shape}") from None
         key = tuple(expo)
         coeffs[key] = coeffs.get(key, 0) + coeff
-    return Polynomial._from_checked(nvars, coeffs)
+    return Polynomial(nvars, coeffs)
 
 
 def render_polynomial(poly: Polynomial, shape: Shape) -> str:
@@ -224,21 +217,20 @@ def compose_failures(pres: FreeComplexPresentation) -> tuple:
     listed once, and row i of the product accumulates only the products of
     nonzero entries, one coefficient dict per column.  Each distinct
     Polynomial object is packed once into (exponents, coefficient) pairs,
-    the exponents as one int with a field of (2 * largest exponent)
-    .bit_length() bits per variable, so the product of two monomials is one
-    int add that carries between no fields.  The products are summed inline
-    rather than with Polynomial `*` and `+`, which build and re-validate a
-    Polynomial per product and made this about 5x slower.
+    the exponents as one int by the saturation oracle's
+    `_Packing.for_exponents(nvars, largest exponent)`.  Its fields are
+    largest.bit_length() + 1 bits wide, which for largest >= 1 is
+    (2 * largest).bit_length(): the guard bit on top of each field takes
+    the carry of a sum of two exponents, and compose never subtracts, so
+    the product of two monomials is one int add that carries between no
+    fields.  The products are summed inline rather than with Polynomial
+    `*` and `+`, which build and re-validate a Polynomial per product and
+    made this about 5x slower.
     """
     entries = {id(p): p for mat in pres.matrices for row in mat for p in row if p.terms}
     expos = {e for p in entries.values() for e in p.terms}
-    width = (2 * max(itertools.chain.from_iterable(expos), default=0)).bit_length()
-    codes = {}
-    for expo in expos:
-        v = 0
-        for e in expo:
-            v = v << width | e
-        codes[expo] = v
+    pack = _Packing.for_exponents(pres.shape.num_vertices, max(map(max, expos), default=0)).pack
+    codes = {e: pack(e) for e in expos}
     packed = {key: [(codes[e], c) for e, c in p.terms.items()] for key, p in entries.items()}
     bad = []
     for k in range(len(pres.matrices) - 1):
@@ -338,23 +330,6 @@ def paper_fixture(name: str) -> PaperFixture:
 
 
 @dataclass(frozen=True)
-class ShellingEvidence:
-    """A verified shelling order of the union; shellable implies CM over
-    every field, so no field is recorded.
-
-    The order is kept as facet masks on `shape`; `order` builds its faces
-    on demand.
-    """
-
-    shape: Shape
-    order_masks: tuple  # of int
-
-    @property
-    def order(self) -> ShellingOrder:
-        return tuple(map(self.shape.face_from_mask, self.order_masks))
-
-
-@dataclass(frozen=True)
 class PdimEvidence:
     """Projective-dimension computation for the union over one field."""
 
@@ -377,7 +352,7 @@ class VcmCertificate:
     delta_prime: SimplicialComplex
     verdict: bool
     codim: int
-    evidence: object  # ShellingEvidence or PdimEvidence
+    evidence: object  # shelling.ShellingEvidence or PdimEvidence
 
 
 class CandidateLimitError(ValueError):
@@ -511,18 +486,17 @@ def certify_balanced(delta: SimplicialComplex,
                      field: CoefficientField = DEFAULT_FIELD) -> VcmCertificate:
     """Constructive certificate for a balanced complex.
 
-    Runs the balanced shelling pipeline; evidence is the shelling order,
-    which balanced_vcm_certificate has verified on the union.  A shellable
-    complex is Cohen-Macaulay over every field, so the union's projective
-    dimension equals the codimension without recomputing it.  `field` only
-    labels the report.
+    Runs the balanced shelling pipeline; the evidence is its
+    `ShellingEvidence`, whose order balanced_vcm_certificate has verified
+    on the union.  A shellable complex is Cohen-Macaulay over every field,
+    so the union's projective dimension equals the codimension without
+    recomputing it.  `field` only labels the report.
     """
-    cert = balanced_vcm_certificate(delta)
-    cd = codim(delta)
+    evidence = balanced_vcm_certificate(delta)
     return VcmCertificate(
         delta=delta,
-        delta_prime=cert.delta_prime,
+        delta_prime=evidence.delta_prime,
         verdict=True,
-        codim=cd,
-        evidence=ShellingEvidence(delta.shape, cert.order_masks),
+        codim=codim(delta),
+        evidence=evidence,
     )

@@ -14,13 +14,13 @@ from operator import le
 from typing import NamedTuple, Sequence
 
 from vcmkit import (
-    BalancedCertificate,
     BettiTable,
     EmptyVarietyError,
     FreeComplexPresentation,
     Polynomial,
     SearchOutcome,
     ShellingCheck,
+    ShellingEvidence,
     Shape,
     SimplicialComplex,
     SqfIdeal,
@@ -421,7 +421,7 @@ def _zero_free_certificate_oracle(delta):
     shape = delta.shape
     order = irrelevant_shelling_order(shape, delta.facets[0])
     delta_prime = SimplicialComplex.from_facets(shape, order[1:])
-    return BalancedCertificate(delta_prime, tuple(map(shape.mask_of, order + delta.facets[1:])))
+    return ShellingEvidence(delta_prime, tuple(map(shape.mask_of, order + delta.facets[1:])))
 
 
 def balanced_vcm_certificate_oracle(delta):
@@ -437,7 +437,7 @@ def balanced_vcm_certificate_oracle(delta):
 
     if not nonzero:
         # One vertex per component: the only balanced complex is one facet.
-        return BalancedCertificate(SimplicialComplex(shape, ()), (delta.facet_masks[0],))
+        return ShellingEvidence(SimplicialComplex(shape, ()), (delta.facet_masks[0],))
 
     # Permute components so the zero entries trail.
     perm = [0] * shape.r
@@ -464,7 +464,7 @@ def balanced_vcm_certificate_oracle(delta):
     delta_prime = SimplicialComplex.from_facets(
         shape, [lift(f) for f in cert_pre.delta_prime.facets])
     order = tuple(shape.mask_of(lift(f)) for f in cert_pre.order)
-    return BalancedCertificate(delta_prime, order)
+    return ShellingEvidence(delta_prime, order)
 
 
 def is_prime_miller_rabin(n: int) -> bool:

@@ -423,7 +423,7 @@ class TestIrrelevantShellingOrder:
             irrelevant_shelling_order(Shape((1, 1)), fs((1, 0), (1, 1)))
 
 
-class TestBalancedCertificate:
+class TestShellingEvidence:
     def test_single_balanced_edge(self):
         d = cx((1, 1), [(1, 0), (2, 0)])
         cert = balanced_vcm_certificate(d)

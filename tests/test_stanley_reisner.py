@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -125,9 +127,26 @@ class TestComplexOf:
             complex_of(ideal_from_faces(Shape((1,)), [[]]))
 
     def test_zero_gives_full_simplex(self):
-        shape = Shape((1, 1))
-        d = complex_of(SqfIdeal(shape, ()))
-        assert d.facet_masks == (shape.full_mask,)
+        for entries in [(1, 1), (999,)]:
+            shape = Shape(entries)
+            d = complex_of(SqfIdeal(shape, ()))
+            assert d.facet_masks == (shape.full_mask,)
+
+    def test_cone_round_trip(self):
+        # A seeded complex joined with apex vertices, which lie in every
+        # facet and in no generator; the apexes are spread over components.
+        rng = random.Random(20261105)
+        for entries in [(2, 2, 3), (3, 0, 4), (1, 5, 1, 1)]:
+            shape = Shape(entries)
+            for _ in range(20):
+                apexes = rng.randrange(1 << shape.num_vertices)
+                base = random_complex(shape, rng, max_facets=6)
+                d = SimplicialComplex(shape, tuple(f | apexes for f in base.facet_masks))
+                if d.is_void:
+                    continue
+                ideal = ideal_of(d)
+                assert not any(g & apexes for g in ideal.generator_masks)
+                assert complex_of(ideal) == d
 
     def test_round_trip_exhaustive_small(self):
         for entries in [(3,), (1, 1)]:
@@ -278,14 +297,27 @@ class TestFaceBound:
             ideal_of(full)
 
     def test_complex_of_refuses_one_face_past_the_bound(self, monkeypatch):
+        # complex_of counts the faces on the generators' vertices only; the
+        # other vertices are cone apexes and are never grown.
+        shape = Shape((3, 3))
         rng = random.Random(20261104)
-        cases = [SimplicialComplex(Shape((3, 3)), (Shape((3, 3)).full_mask,))]
+        boundary = SimplicialComplex(shape, tuple(shape.full_mask ^ 1 << p for p in range(8)))
+        cases = [SimplicialComplex(shape, (shape.full_mask,)), boundary]
         cases += [random_complex(Shape((2, 3)), rng, max_facets=4) for _ in range(10)]
         for d in cases:
             if d.is_void:
                 continue
             ideal = ideal_of(d)
-            count = sum(map(len, d.face_layers()))
+            used = functools.reduce(operator.or_, ideal.generator_masks, 0)
+            count = sum(1 for layer in d.face_layers() for f in layer if not f & ~used)
+            if count == 1:
+                # A simplex (the full one has the zero ideal): its vertices are
+                # apexes and the others generators, so no face grows at all.
+                monkeypatch.setattr(stanley_reisner, "MAX_FACES", 0)
+                assert complex_of(ideal) == d
+                continue
+            if d is boundary:
+                assert count == 255
             monkeypatch.setattr(stanley_reisner, "MAX_FACES", count - 1)
             with pytest.raises(FaceLimitError, match=f"more faces than the max_faces={count - 1} face bound"):
                 complex_of(ideal)

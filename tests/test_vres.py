@@ -11,9 +11,11 @@ from vcmkit import (
     GF,
     Polynomial,
     Shape,
+    ShellingEvidence,
     SimplicialComplex,
     Vertex,
     augmentation_search,
+    balanced_vcm_certificate,
     certify_balanced,
     certify_vcm_via_union,
     compose_failures,
@@ -30,7 +32,6 @@ from vcmkit.vres import (
     EXHAUSTED,
     FIXTURE_NAMES,
     PdimEvidence,
-    ShellingEvidence,
     parse_polynomial,
     render_polynomial,
 )
@@ -102,6 +103,7 @@ class TestParseRender:
         assert p == a - b + Polynomial(6, {(0,) * 6: 3})
         assert parse_polynomial("+2*x_2_0", self.shape).terms == {(0, 0, 0, 1, 0, 0): 2}
         assert parse_polynomial("-4", self.shape) == Polynomial(6, {(0,) * 6: -4})
+        assert parse_polynomial("x_1_0-x_1_0", self.shape) == Polynomial.zero(6)
 
     def test_whitespace(self):
         assert parse_polynomial(" x_1_0 + x_1_1 ", self.shape) == parse_polynomial(
@@ -563,6 +565,8 @@ class TestCertifyBalanced:
         assert cert.verdict and cert.codim == 2
         assert cert.delta_prime == irrelevant_complex(d.shape)
         assert isinstance(cert.evidence, ShellingEvidence)
+        assert cert.evidence == balanced_vcm_certificate(d)
+        assert cert.evidence.delta_prime is cert.delta_prime
         assert len(cert.evidence.order) == 3
 
     @pytest.mark.parametrize("field", [GF(2), QQ])
@@ -573,6 +577,8 @@ class TestCertifyBalanced:
             d = random_balanced(shape, rng)
             cert = certify_balanced(d, field)
             assert cert.codim == shape.weight
+            assert cert.evidence == balanced_vcm_certificate(d)
+            assert cert.evidence.delta_prime is cert.delta_prime
             combined = union(d, cert.delta_prime)
             assert verify_shelling(combined, cert.evidence.order).ok
 
